@@ -17,6 +17,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import embeddings
+from .flops import ZERO_DERIVATIVE_SKIP
+from .indices import Pair
 from .manifolds import make_manifold
 from .manifolds.symplectic import symplectic_block_step
 from .optimize import (
@@ -24,7 +26,11 @@ from .optimize import (
     Objective,
     OptimizerConfig,
     Trace,
+    _check_finite,
+    _eta_at,
     optimize,
+    run_rcdlin,
+    run_rgd,
 )
 from .problems import (
     ProblemSpec,
@@ -32,6 +38,7 @@ from .problems import (
     initial_point,
     long_run_reference,
     optimality_gap,
+    weighted_ls_objective,
 )
 
 CSV_HEADER = "k,s,f,grad_norm,feasibility,flops,wall_ns"
@@ -113,9 +120,10 @@ def run_experiment(
     if problem == "lorentz":
         prob = embeddings.make_lorentz_embed(n, p, seed)
         x, trace = embeddings.train(prob, cfg)
+        final_f = trace.final_f() if trace.records else embeddings.loss(prob, x)
         result = ExperimentResult(
             ProblemSpec("lorentz", None, seed, {"n_words": p}),
-            trace, trace.final_f(), None, "none", None, False)
+            trace, final_f, None, "none", None, False)
         if out_path:
             write_trace_csv(out_path, trace)
             result.out_path = out_path
@@ -125,6 +133,7 @@ def run_experiment(
     man = make_manifold(spec.descriptor)
     x0 = initial_point(spec)
     x, trace = optimize(man, obj, x0, cfg)
+    final_f = trace.final_f() if trace.records else obj.value(x)
     f_star = ref.value
     provenance = ref.provenance
     if f_star is None and ref.provenance == "long_run_baseline" and resolve_reference:
@@ -132,8 +141,8 @@ def run_experiment(
     gap = None
     flagged = False
     if f_star is not None:
-        gap, flagged = optimality_gap(trace.final_f(), f_star)
-    result = ExperimentResult(spec, trace, trace.final_f(), f_star,
+        gap, flagged = optimality_gap(final_f, f_star)
+    result = ExperimentResult(spec, trace, final_f, f_star,
                               provenance, gap, flagged)
     if out_path:
         write_trace_csv(out_path, trace)
@@ -158,7 +167,8 @@ def grid_search(
 ) -> tuple[float, list[tuple[float, float]]]:
     """Run every stepsize in the grid and return (best eta, [(eta, final f)]).
 
-    Diverged runs (non-finite objective) score +inf.  Grid points may run in
+    Diverged runs (non-finite objective, or a singular linear system in a
+    full-gradient projection) score +inf.  Grid points may run in
     parallel when MANIFOLD_CD_THREADS > 1; results are deterministic either
     way because each run owns its generator.
     """
@@ -172,7 +182,8 @@ def grid_search(
             res = run_experiment(problem, n, p, seed, sub, cond=cond,
                                  density=density, resolve_reference=False)
             return res.final_f
-        except (RuntimeError, FloatingPointError, OverflowError):
+        except (RuntimeError, FloatingPointError, OverflowError,
+                np.linalg.LinAlgError):
             return math.inf
 
     workers = int(os.environ.get("MANIFOLD_CD_THREADS", "1"))
@@ -188,9 +199,6 @@ def grid_search(
     threshold = best_f + 1e-12 * max(1.0, abs(best_f))
     best_eta = min(e for e, f in scored if f <= threshold)
     return best_eta, scored
-
-
-# -- symplectic block coordinate descent ---------------------------------------
 
 
 # -- structured weighted-least-squares runners ----------------------------------
@@ -221,78 +229,56 @@ def wls_structured_flops(n: int, p: int, density: float, inner: int) -> dict[str
 def run_wls_rcdlin_structured(spec: ProblemSpec, y0: np.ndarray,
                               cfg: OptimizerConfig):
     """Anchored-gradient coordinate descent on the masked least-squares
-    problem, maintaining the masked residual incrementally.
+    problem, charged under the masked-sparsity model above.
 
-    Per epoch the residual at the epoch start is the frozen anchor; each of
-    the S steps reads theta = 4 <anchor row i, Y col j>, updates one entry of
-    Y, and fixes up the live masked residual's row/column i.  Iterates match
-    the generic anchored engine; the flop ledger follows the masked-sparsity
-    model above (the in-memory arithmetic is dense numpy for simplicity).
+    The iterates are those of ``run_rcdlin`` on the factored family, whose
+    carrier fix-up is the incremental masked-residual update; only the
+    ledger differs: the initial residual build, then ``cd_epoch`` per epoch,
+    all counted as oracle flops in K + 1 oracle calls.
     """
-    from .rng import SplitMix64
-
-    from .optimize import _check_finite
-
-    mask = spec.params["mask"]
+    _require_epoch_trace(cfg)
     n, p = y0.shape
-    density = spec.params["density"]
-    b = mask * spec.params["x_star"]
     inner = cfg.inner if cfg.inner is not None else n * p
-    model = wls_structured_flops(n, p, density, inner)
-    y = y0.copy()
-    rng = SplitMix64(cfg.seed)
-    trace = Trace(eta_used=cfg.eta)
-    trace.oracle_flops += model["init"]
+    model = wls_structured_flops(n, p, spec.params["density"], inner)
+    man = make_manifold(spec.descriptor)
+    y, trace = run_rcdlin(man, weighted_ls_objective(spec), y0, cfg)
+    _charge_per_epoch(trace, model["init"], model["cd_epoch"])
     trace.oracle_calls += 1
-    with np.errstate(over="ignore", invalid="ignore"):
-        resid = mask * (y @ y.T) - b      # maintained masked residual
-        for k in range(cfg.epochs):
-            eta_k = cfg.eta / (1.0 + cfg.eta_decay * k) if cfg.eta_decay else cfg.eta
-            anchor = resid.copy()
-            order = rng.permutation(n * p)[:inner]
-            for t_lin in order:
-                i, j = divmod(int(t_lin), p)
-                theta = 4.0 * float(np.dot(anchor[i], y[:, j]))
-                _check_finite(theta, k, int(t_lin), "coordinate derivative")
-                if abs(theta) >= 1e-300:
-                    delta = -eta_k * theta
-                    row_fix = mask[i] * (delta * y[:, j])
-                    resid[i] += row_fix
-                    resid[:, i] += row_fix
-                    resid[i, i] += mask[i, i] * delta * delta
-                    y[i, j] += delta
-            trace.oracle_calls += 1
-            trace.oracle_flops += model["cd_epoch"]
-            fval = _check_finite(float(np.sum((mask * (y @ y.T) - b) ** 2)),
-                                 k, inner - 1, "objective")
-            trace.records.append(IterationRecord(
-                k, inner - 1, fval, None, None, trace.total_flops, None))
     return y, trace
 
 
 def run_wls_rgd_structured(spec: ProblemSpec, obj: Objective, y0: np.ndarray,
                            cfg: OptimizerConfig):
-    """Full-gradient baseline on the masked problem, charged under the same
-    masked-sparsity model (rebuild the residual, form the dense factored
-    gradient, take the additive step)."""
-    from .optimize import _check_finite
-
-    mask = spec.params["mask"]
+    """Full-gradient baseline on the masked problem: the iterates of
+    ``run_rgd`` on the factored family, charged ``rgd_epoch`` per epoch under
+    the same masked-sparsity model (rebuild the residual, form the dense
+    factored gradient, take the additive step)."""
+    _require_epoch_trace(cfg)
     n, p = y0.shape
     model = wls_structured_flops(n, p, spec.params["density"], 1)
-    y = y0.copy()
-    trace = Trace(eta_used=cfg.eta)
-    with np.errstate(over="ignore", invalid="ignore"):
-        for k in range(cfg.epochs):
-            eta_k = cfg.eta / (1.0 + cfg.eta_decay * k) if cfg.eta_decay else cfg.eta
-            g = obj.euclid_grad(y)
-            y = y - eta_k * ((g + g.T) @ y)
-            trace.oracle_calls += 1
-            trace.oracle_flops += model["rgd_epoch"]
-            fval = _check_finite(obj.value(y), k, 0, "objective")
-            trace.records.append(IterationRecord(
-                k, 0, fval, None, None, trace.total_flops, None))
+    y, trace = run_rgd(make_manifold(spec.descriptor), obj, y0, cfg)
+    _charge_per_epoch(trace, 0, model["rgd_epoch"])
     return y, trace
+
+
+def _require_epoch_trace(cfg: OptimizerConfig) -> None:
+    if cfg.trace != "epoch":
+        raise ValueError("the structured least-squares runners keep a per-epoch "
+                         "ledger and need trace='epoch'")
+
+
+def _charge_per_epoch(trace: Trace, start: int, per_epoch: int) -> None:
+    """Rewrite the ledger as ``start`` plus ``per_epoch`` for every epoch,
+    one oracle call each, all of it oracle flops."""
+    for r in trace.records:
+        r.flops = start + (r.k + 1) * per_epoch
+    epochs = len(trace.records)
+    trace.oracle_calls = epochs
+    trace.oracle_flops = start + epochs * per_epoch
+    trace.update_flops = 0
+
+
+# -- symplectic block coordinate descent ---------------------------------------
 
 
 def block_flops(n: int, p: int) -> dict[str, int]:
@@ -319,8 +305,6 @@ def run_symplectic_block_cd(spec: ProblemSpec, obj: Objective, x0: np.ndarray,
     n = spec.descriptor.dims[0]
     p = spec.descriptor.dims[1]
     costs = block_flops(n, p)
-    from .indices import Pair
-
     mixed = [Pair(i, n + j) for i in range(n) for j in range(n) if j != i]
     x = x0.copy()
     trace = Trace(eta_used=cfg.eta)
@@ -329,10 +313,8 @@ def run_symplectic_block_cd(spec: ProblemSpec, obj: Objective, x0: np.ndarray,
 
 
 def _block_cd_loop(man, obj, x, cfg, costs, mixed, trace):
-    from .optimize import _check_finite
-
     for k in range(cfg.epochs):
-        eta_k = cfg.eta / (1.0 + cfg.eta_decay * k) if cfg.eta_decay else cfg.eta
+        eta_k = _eta_at(cfg, k)
         for which in ("upper_left", "lower_right", "diag_cross"):
             g = obj.euclid_grad(x)
             trace.oracle_calls += 1
@@ -347,7 +329,7 @@ def _block_cd_loop(man, obj, x, cfg, costs, mixed, trace):
             _check_finite(theta, k, 0, "coordinate derivative")
             dflops, uflops = man.flop_parts(l)
             trace.update_flops += dflops
-            if abs(theta) >= 1e-300:
+            if abs(theta) >= ZERO_DERIVATIVE_SKIP:
                 x, _ = man.coordinate_retract(x, l, -eta_k * theta, inplace=True)
                 trace.update_flops += uflops
         fval = _check_finite(obj.value(x), k, 0, "objective")

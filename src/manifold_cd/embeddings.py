@@ -25,10 +25,11 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .flops import ZERO_DERIVATIVE_SKIP
 from .indices import Pair
 from .linalg import apply_rotation
 from .manifolds.hyperbolic import lift_to_hyperboloid
-from .optimize import IterationRecord, OptimizerConfig, Trace
+from .optimize import IterationRecord, OptimizerConfig, Trace, _eta_at
 from .rng import SplitMix64
 
 GRAD_GUARD = 1e-8
@@ -153,8 +154,14 @@ def train(prob: HierarchyProblem, cfg: OptimizerConfig):
 
     Per epoch: one gradient oracle, then for every word the selected row
     pairs are rotated in sequence (time-cyclic selection loops over the
-    pairs (0, 1) ... (0, n-1); cyclic over all row pairs).
+    pairs (0, 1) ... (0, n-1); cyclic over all row pairs).  Only this
+    anchored algorithm (``rcdlin``) with those two selections is
+    implemented; any other configuration raises ValueError.
     """
+    if cfg.algorithm != "rcdlin" or cfg.selection not in ("cyclic", "time-cyclic"):
+        raise ValueError(
+            "hyperbolic embedding training runs rcdlin with cyclic or time-cyclic "
+            f"selection, not {cfg.algorithm} with {cfg.selection}")
     x = initial_embedding(prob)
     n = prob.n_dim
     if cfg.selection == "time-cyclic":
@@ -164,7 +171,7 @@ def train(prob: HierarchyProblem, cfg: OptimizerConfig):
     trace = Trace(eta_used=cfg.eta)
     oracle_flops = grad_flop_model(prob)
     for k in range(cfg.epochs):
-        eta_k = cfg.eta / (1.0 + cfg.eta_decay * k) if cfg.eta_decay else cfg.eta
+        eta_k = _eta_at(cfg, k)
         g = euclid_grad(prob, x)
         trace.oracle_calls += 1
         trace.oracle_flops += oracle_flops
@@ -179,7 +186,7 @@ def train(prob: HierarchyProblem, cfg: OptimizerConfig):
                     theta = gu[i] * col[j, 0] - gu[j] * col[i, 0]
                     kind = "circular"
                 trace.update_flops += 4
-                if abs(theta) < 1e-300:
+                if abs(theta) < ZERO_DERIVATIVE_SKIP:
                     continue
                 angle = -eta_k * theta
                 if abs(angle) > 500.0:

@@ -1,62 +1,23 @@
-from .base import (
-    CoordinateStepReport,
-    Manifold,
-    ManifoldDescriptor,
-    coordinate_step,
-    make_manifold,
-)
-from .doubly_stochastic import (
-    DoublyStochastic,
-    Multinomial,
-    ds_coordinate_step,
-    ds_riemannian_gradient,
-    full_sinkhorn,
-    multinomial_coordinate_step,
-    sinkhorn_2x2,
-)
+from .base import Manifold, ManifoldDescriptor, make_manifold
+from .doubly_stochastic import DoublyStochastic, Multinomial, full_sinkhorn, sinkhorn_2x2
 from .hyperbolic import (
     Hyperbolic,
     hyperbolic_canonical_gradient,
     hyperbolic_cayley_retract,
-    hyperbolic_coordinate_step,
     lift_to_hyperboloid,
 )
-from .spsd import (
-    FactoredSpsd,
-    SpdBuresWasserstein,
-    spd_bw_coordinate_step,
-    spsd_coordinate_step,
-    spsd_coordinate_step_entry,
-)
+from .spsd import FactoredSpsd, SpdBuresWasserstein
 from .stiefel import (
     Grassmann,
     Stiefel,
     grassmann_distance,
     stiefel_canonical_gradient,
     stiefel_canonical_inner,
-    stiefel_coordinate_step,
-    tsd_coordinate_step,
     tsd_enumerate,
 )
-from .symplectic import (
-    Symplectic,
-    symplectic_block_step,
-    symplectic_coordinate_step,
-    symplectic_cross_derivatives,
-)
+from .symplectic import Symplectic, symplectic_block_step, symplectic_cross_derivatives
 
 __all__ = [
-    "CoordinateStepReport",
-    "coordinate_step",
-    "ds_coordinate_step",
-    "ds_riemannian_gradient",
-    "multinomial_coordinate_step",
-    "hyperbolic_coordinate_step",
-    "spd_bw_coordinate_step",
-    "spsd_coordinate_step",
-    "spsd_coordinate_step_entry",
-    "stiefel_coordinate_step",
-    "symplectic_coordinate_step",
     "Manifold",
     "ManifoldDescriptor",
     "make_manifold",
@@ -75,7 +36,6 @@ __all__ = [
     "grassmann_distance",
     "stiefel_canonical_gradient",
     "stiefel_canonical_inner",
-    "tsd_coordinate_step",
     "tsd_enumerate",
     "Symplectic",
     "symplectic_block_step",

@@ -8,7 +8,9 @@ A manifold object bundles, for one family and fixed dimensions:
 * ``enumerate_basis``: the fixed total order over coordinate labels;
 * ``coordinate_derivative``: theta = <gradient, B_l> in the family's closed
   form, without materializing B_l;
-* ``coordinate_retract``: the cheap structured retraction along B_l;
+* ``coordinate_retract``: the cheap structured retraction along B_l,
+  returning ``(x, clamped)``; ``clamped`` is True only when an elementwise
+  family had to clamp an exponent or floor an entry to stay positive;
 * ``full_retract``: the full-gradient retraction used by the RGD baseline;
 * ``flop_parts``: the published (derivative, update) flop counts per label.
 
@@ -93,16 +95,6 @@ class ManifoldDescriptor:
             object.__setattr__(self, "nu", nu)
 
 
-@dataclass
-class CoordinateStepReport:
-    """What a coordinate step touched and what it cost under the flop model."""
-
-    theta: float | None
-    flops: int
-    touched: str
-    clamped: bool = False
-
-
 class Manifold(ABC):
     family: str = ""
 
@@ -174,7 +166,7 @@ class Manifold(ABC):
     @abstractmethod
     def coordinate_retract(
         self, x: np.ndarray, l: CoordinateIndex, t: float, inplace: bool = False
-    ) -> tuple[np.ndarray, CoordinateStepReport]: ...
+    ) -> tuple[np.ndarray, bool]: ...
 
     @abstractmethod
     def full_retract(self, x: np.ndarray, u: np.ndarray, t: float) -> np.ndarray: ...
@@ -227,24 +219,6 @@ class Manifold(ABC):
     def random_tangent(self, x: np.ndarray, rng: SplitMix64) -> np.ndarray:
         """Seeded tangent vector at x (projection of an ambient Gaussian)."""
         raise NotImplementedError
-
-
-def coordinate_step(
-    man: Manifold, x: np.ndarray, l: CoordinateIndex, eta: float, g: np.ndarray,
-    inplace: bool = False,
-) -> tuple[np.ndarray, CoordinateStepReport]:
-    """One full descent step: theta from the closed form, then the cheap
-    retraction with parameter -eta * theta (scaled per family convention).
-    The report carries theta and the step's total flop cost."""
-    theta = man.coordinate_derivative(x, g, l)
-    dflops, _ = man.flop_parts(l)
-    if abs(theta) < 1e-300:
-        out = x if inplace else x.copy()
-        return out, CoordinateStepReport(theta, dflops, "skipped (zero derivative)")
-    out, report = man.coordinate_retract(x, l, -man.step_scale * eta * theta, inplace)
-    report.theta = theta
-    report.flops += dflops
-    return out, report
 
 
 def make_manifold(descriptor: ManifoldDescriptor) -> Manifold:

@@ -15,8 +15,8 @@ renormalizes the pair to its previous mass.
 Positivity protection: exponent magnitudes are clamped at EXP_CLAMP before
 exponentiation, and perturbed entries are floored at POSITIVITY_FLOOR times
 the local block/pair mass before rebalancing (entries otherwise underflow
-after long random walks toward the polytope boundary); clamped steps are
-flagged in the step report.
+after long random walks toward the polytope boundary); a retraction that
+clamps or floors returns ``clamped`` True.
 """
 
 from __future__ import annotations
@@ -27,7 +27,7 @@ import numpy as np
 
 from ..indices import Entry
 from ..rng import SplitMix64
-from .base import CoordinateStepReport, Manifold, ManifoldDescriptor, coordinate_step
+from .base import Manifold
 
 EXP_CLAMP = 30.0
 POSITIVITY_FLOOR = 1e-12  # relative to the local (block or pair) mass
@@ -172,26 +172,24 @@ class DoublyStochastic(Manifold):
         return float(d[i, j] - d[i, j + 1] - d[i + 1, j] + d[i + 1, j + 1])
 
     def coordinate_retract(self, x, l, t, inplace=False):
-        i, j = l
-        _, upd = self.flop_parts(l)
-        report = CoordinateStepReport(None, upd, f"block ({i},{j})..({i+1},{j+1})")
-        if t == 0.0:
-            return (x if inplace else x.copy()), report
         out = x if inplace else x.copy()
+        if t == 0.0:
+            return out, False
+        i, j = l
         block = out[i:i + 2, j:j + 2]
         expo = t * _BLOCK_SIGNS / block
-        if np.max(np.abs(expo)) > EXP_CLAMP:
+        clamped = bool(np.max(np.abs(expo)) > EXP_CLAMP)
+        if clamped:
             expo = np.clip(expo, -EXP_CLAMP, EXP_CLAMP)
-            report.clamped = True
         p = block.sum(axis=1)
         q = block.sum(axis=0)
         w = block * np.exp(expo)
         floor = POSITIVITY_FLOOR * float(p[0] + p[1])
         if np.min(w) < floor:
             w = np.maximum(w, floor)
-            report.clamped = True
+            clamped = True
         out[i:i + 2, j:j + 2] = sinkhorn_2x2(w, p, q)
-        return out, report
+        return out, clamped
 
     def full_retract(self, x, u, t):
         return full_sinkhorn(x * np.exp(t * u / x), self.mu, self.nu)
@@ -261,29 +259,27 @@ class Multinomial(Manifold):
         return float(d[i, j] - d[i, j + 1])
 
     def coordinate_retract(self, x, l, t, inplace=False):
-        i, j = l
-        _, upd = self.flop_parts(l)
-        report = CoordinateStepReport(None, upd, f"entries ({i},{j}),({i},{j+1})")
-        if t == 0.0:
-            return (x if inplace else x.copy()), report
         out = x if inplace else x.copy()
+        if t == 0.0:
+            return out, False
+        i, j = l
         x1, x2 = out[i, j], out[i, j + 1]
         e1, e2 = t / x1, -t / x2
-        if max(abs(e1), abs(e2)) > EXP_CLAMP:
+        clamped = bool(max(abs(e1), abs(e2)) > EXP_CLAMP)
+        if clamped:
             e1 = min(max(e1, -EXP_CLAMP), EXP_CLAMP)
             e2 = min(max(e2, -EXP_CLAMP), EXP_CLAMP)
-            report.clamped = True
         w1 = x1 * math.exp(e1)
         w2 = x2 * math.exp(e2)
         floor = POSITIVITY_FLOOR * (x1 + x2)
         if w1 < floor or w2 < floor:
             w1 = max(w1, floor)
             w2 = max(w2, floor)
-            report.clamped = True
+            clamped = True
         scale = (x1 + x2) / (w1 + w2)
         out[i, j] = w1 * scale
         out[i, j + 1] = w2 * scale
-        return out, report
+        return out, clamped
 
     def full_retract(self, x, u, t):
         w = x * np.exp(t * u / x)
@@ -314,23 +310,3 @@ class Multinomial(Manifold):
     def random_tangent(self, x, rng: SplitMix64):
         z = rng.gaussian(self.n, self.p)
         return z - z.mean(axis=1, keepdims=True)
-
-
-def ds_coordinate_step(x, i, j, eta, g, mu, nu, inplace=False):
-    """One descent step on the transport polytope: perturb and rebalance the
-    2x2 block anchored at (i, j)."""
-    desc = ManifoldDescriptor("doubly_stochastic", x.shape, mu=mu, nu=nu)
-    return coordinate_step(DoublyStochastic(desc), x, Entry(i, j), eta, g, inplace)
-
-
-def ds_riemannian_gradient(x, g, mu, nu):
-    """Fisher-metric gradient on the transport polytope."""
-    desc = ManifoldDescriptor("doubly_stochastic", x.shape, mu=mu, nu=nu)
-    return DoublyStochastic(desc).riemannian_gradient(x, g)
-
-
-def multinomial_coordinate_step(x, i, j, eta, g, inplace=False):
-    """One descent step on the row-simplex manifold: reweigh entries (i, j)
-    and (i, j + 1) and renormalize their pair mass."""
-    desc = ManifoldDescriptor("multinomial", x.shape)
-    return coordinate_step(Multinomial(desc), x, Entry(i, j), eta, g, inplace)

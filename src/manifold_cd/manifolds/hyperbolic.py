@@ -19,10 +19,9 @@ from __future__ import annotations
 import numpy as np
 from scipy.linalg import expm, lu_factor, lu_solve
 
-from ..indices import Pair
 from ..linalg import apply_rotation
 from ..rng import SplitMix64
-from .base import CoordinateStepReport, Manifold, ManifoldDescriptor, coordinate_step
+from .base import Manifold
 from .stiefel import _sym, enumerate_pairs
 
 
@@ -67,12 +66,11 @@ class Hyperbolic(Manifold):
         return float(np.dot(d[i], x[j]) - np.dot(d[j], x[i]))
 
     def coordinate_retract(self, x, l, t, inplace=False):
-        i, j = l
-        report = CoordinateStepReport(None, self.flop_parts(l)[1], f"rows {i},{j}")
         if t == 0.0:
-            return (x if inplace else x.copy()), report
+            return (x if inplace else x.copy()), False
+        i, j = l
         kind = "hyperbolic" if i == 0 else "circular"
-        return apply_rotation(x, i, j, t, "left", kind, inplace), report
+        return apply_rotation(x, i, j, t, "left", kind, inplace), False
 
     def full_retract(self, x, u, t):
         w = tangent_skew_parameter(x, u)
@@ -117,13 +115,6 @@ class Hyperbolic(Manifold):
         z = rng.gaussian(self.n, self.p)
         # tangent projection: A + X sym(X' J A)
         return z + x @ _sym(x.T @ apply_j(z))
-
-
-def hyperbolic_coordinate_step(x, i, j, eta, g, inplace=False):
-    """One descent step: a cosh/sinh rotation when the pair touches the time
-    row, a plane rotation otherwise."""
-    man = Hyperbolic(ManifoldDescriptor("hyperbolic", x.shape))
-    return coordinate_step(man, x, Pair(i, j), eta, g, inplace)
 
 
 def _j_diag(n: int) -> np.ndarray:

@@ -23,7 +23,7 @@ import numpy as np
 from ..indices import Entry, Pair
 from ..linalg import sym_eig, thin_svd
 from ..rng import SplitMix64
-from .base import CoordinateStepReport, Manifold, ManifoldDescriptor, coordinate_step
+from .base import Manifold
 
 
 class FactoredSpsd(Manifold):
@@ -79,13 +79,11 @@ class FactoredSpsd(Manifold):
         return (g + g.T) @ y
 
     def coordinate_retract(self, y, l, t, inplace=False):
-        i, j = l
-        report = CoordinateStepReport(None, 2, f"entry ({i},{j})")
-        if t == 0.0:
-            return (y if inplace else y.copy()), report
         out = y if inplace else y.copy()
-        out[i, j] += t
-        return out, report
+        if t != 0.0:
+            i, j = l
+            out[i, j] += t
+        return out, False
 
     def full_retract(self, y, u, t):
         return y + t * u
@@ -154,12 +152,10 @@ class SpdBuresWasserstein(Manifold):
         return 2.0 * (float(np.dot(x[j], d[i])) + float(np.dot(x[i], d[j])))
 
     def coordinate_retract(self, x, l, t, inplace=False):
-        i, j = l
-        _, upd = self.flop_parts(l)
-        report = CoordinateStepReport(None, upd, f"rows/cols {i},{j}")
-        if t == 0.0:
-            return (x if inplace else x.copy()), report
         out = x if inplace else x.copy()
+        if t == 0.0:
+            return out, False
+        i, j = l
         # (I + t E_ij) X (I + t E_ij): rows are built once and mirrored onto
         # the columns, so the result is symmetric exactly, not on average.
         if i == j:
@@ -184,7 +180,7 @@ class SpdBuresWasserstein(Manifold):
             out[j] = new_j
             out[:, i] = new_i
             out[:, j] = new_j
-        return out, report
+        return out, False
 
     def full_retract(self, x, u, t):
         """BW exponential: X + tU + S X S with S solving S X + X S = t U."""
@@ -228,24 +224,3 @@ class SpdBuresWasserstein(Manifold):
     def min_eigenvalue(self, x) -> float:
         _, lam = sym_eig(0.5 * (x + x.T))
         return float(lam[0])
-
-
-def spsd_coordinate_step(y, i, j, eta, g, inplace=False):
-    """One descent step on the factor: theta from the ambient gradient (one
-    row/column pair), then a single-entry update."""
-    desc = ManifoldDescriptor("spsd_factored", y.shape)
-    return coordinate_step(FactoredSpsd(desc), y, Entry(i, j), eta, g, inplace)
-
-
-def spsd_coordinate_step_entry(y, i, j, eta, theta, inplace=False):
-    """Direct-entry variant: the caller supplies theta, the update is O(1)."""
-    out = y if inplace else y.copy()
-    out[i, j] -= eta * theta
-    return out, CoordinateStepReport(theta, 3, f"entry ({i},{j})")
-
-
-def spd_bw_coordinate_step(x, i, j, eta, g, inplace=False):
-    """One descent step under the transport metric: the quadratic two-row /
-    two-column update with parameter -2 eta theta."""
-    desc = ManifoldDescriptor("spd_bures_wasserstein", x.shape)
-    return coordinate_step(SpdBuresWasserstein(desc), x, Pair(i, j), eta, g, inplace)

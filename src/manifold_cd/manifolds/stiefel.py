@@ -24,7 +24,7 @@ import numpy as np
 from ..indices import Column, CoordinateIndex, Pair
 from ..linalg import apply_rotation, thin_qr, thin_svd
 from ..rng import SplitMix64
-from .base import CoordinateStepReport, Manifold, ManifoldDescriptor, coordinate_step
+from .base import Manifold
 
 
 def _sym(a: np.ndarray) -> np.ndarray:
@@ -62,11 +62,10 @@ class Stiefel(Manifold):
         return float(np.dot(d[i], x[j]) - np.dot(d[j], x[i]))
 
     def coordinate_retract(self, x, l, t, inplace=False):
-        i, j = l
-        report = CoordinateStepReport(None, self.flop_parts(l)[1], f"rows {i},{j}")
         if t == 0.0:
-            return (x if inplace else x.copy()), report
-        return apply_rotation(x, i, j, t, "left", "circular", inplace), report
+            return (x if inplace else x.copy()), False
+        i, j = l
+        return apply_rotation(x, i, j, t, "left", "circular", inplace), False
 
     def full_retract(self, x, u, t):
         q, _ = thin_qr(x + t * u)
@@ -105,17 +104,6 @@ class Grassmann(Stiefel):
 
     def riemannian_gradient(self, x, g):
         return g - x @ (x.T @ g)
-
-
-def stiefel_coordinate_step(x, i, j, eta, g, inplace=False):
-    """One descent step on the frame manifold: theta from rows (i, j) of the
-    gradient and point, then a plane rotation by -eta * theta."""
-    man = make_stiefel(x.shape)
-    return coordinate_step(man, x, Pair(i, j), eta, g, inplace)
-
-
-def make_stiefel(shape) -> Stiefel:
-    return Stiefel(ManifoldDescriptor("stiefel", shape))
 
 
 # -- canonical-metric helpers (exposed for the derivative-equality check) ---
@@ -185,17 +173,6 @@ def tsd_column_step(x, k, eta, g, inplace=False):
         return out, 0.0
     out[:, k] = math.cos(r) * x[:, k] + (math.sin(r) / r) * v
     return out, r
-
-
-def tsd_coordinate_step(x, l, eta, g):
-    """One baseline step (pure form) for either label kind."""
-    if isinstance(l, Pair):
-        out, _ = tsd_pair_step(x, l.i, l.j, eta, g, inplace=False)
-    elif isinstance(l, Column):
-        out, _ = tsd_column_step(x, l.k, eta, g, inplace=False)
-    else:
-        raise ValueError(f"invalid baseline label {l!r}")
-    return out
 
 
 def tsd_flop_parts(l: CoordinateIndex, n: int, p: int) -> tuple[int, int]:

@@ -20,7 +20,7 @@ from scipy.linalg import expm
 from ..indices import Pair
 from ..linalg import sym_eig
 from ..rng import SplitMix64
-from .base import CoordinateStepReport, Manifold, ManifoldDescriptor, coordinate_step
+from .base import Manifold
 
 
 def omega_apply(m: np.ndarray) -> np.ndarray:
@@ -83,14 +83,11 @@ class Symplectic(Manifold):
         return float(np.dot(d[i], self._orow(x, j)) + np.dot(d[j], self._orow(x, i)))
 
     def coordinate_retract(self, x, l, t, inplace=False):
-        i, j = l
-        n = self.n
-        _, upd = self.flop_parts(l)
-        report = CoordinateStepReport(None, upd, f"rows {i},{j}")
-        if t == 0.0:
-            return (x if inplace else x.copy()), report
         out = x if inplace else x.copy()
-        if j == i + n:
+        if t == 0.0:
+            return out, False
+        i, j = l
+        if j == i + self.n:
             if abs(t) > 500.0:
                 raise RuntimeError(
                     f"scaling step overflow (|t|={abs(t):.3g}): reduce the stepsize"
@@ -104,7 +101,7 @@ class Symplectic(Manifold):
             new_j = out[j] + t * self._orow(out, i)
             out[i] = new_i
             out[j] = new_j
-        return out, report
+        return out, False
 
     def full_retract(self, x, u, t):
         s = tangent_symmetric_parameter(x, u)
@@ -149,13 +146,6 @@ class Symplectic(Manifold):
     def random_tangent(self, x, rng: SplitMix64):
         s = rng.gaussian(2 * self.n, 2 * self.n)
         return (s + s.T) @ omega_apply(x) * 0.5
-
-
-def symplectic_coordinate_step(x, i, j, eta, g, inplace=False):
-    """One descent step: additive except on the cross pair j = i + n, which
-    scales the paired rows reciprocally."""
-    man = Symplectic(ManifoldDescriptor("symplectic", (x.shape[0] // 2, x.shape[1] // 2)))
-    return coordinate_step(man, x, Pair(i, j), eta, g, inplace)
 
 
 def tangent_symmetric_parameter(x: np.ndarray, u: np.ndarray) -> np.ndarray:

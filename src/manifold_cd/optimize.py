@@ -62,16 +62,13 @@ class Objective:
     """Objective value and Euclidean gradient, plus the oracle's flop cost.
 
     ``grad_flops`` is the published model cost of one gradient evaluation
-    (0 for constant gradients materialized at problem build).  ``grad_entry``
-    optionally exposes an O(1) per-coordinate derivative oracle; it is not
-    used by the engine but is part of the problem contract.
+    (0 for constant gradients materialized at problem build).
     """
 
     value: Callable[[np.ndarray], float]
     euclid_grad: Callable[[np.ndarray], np.ndarray]
     grad_flops: int = 0
     name: str = ""
-    grad_entry: Callable | None = None
 
 
 @dataclass
@@ -87,7 +84,6 @@ class OptimizerConfig:
     feas_log_every: int = 0    # epochs between feasibility logs (0 = never)
     log_wall: bool = False
     trace: str = "step"        # "step", "epoch", or "none"
-    batch_disjoint: bool = False
     stop_grad_tol: float = 0.0  # early stop on epoch-start |grad| (0 = off)
     spd_probe_every: int = 1   # BW only: min-eigenvalue probe cadence
     renormalize_every: int = 0  # epochs between feasibility restorations (0 = off)
@@ -194,8 +190,6 @@ def optimize(man: Manifold, obj: Objective, x0: np.ndarray, cfg: OptimizerConfig
     if cfg.algorithm == "rcd":
         return run_rcd(man, obj, x0, cfg)
     if cfg.algorithm == "rcdlin":
-        if cfg.batch_disjoint:
-            return run_rcdlin_batched(man, obj, x0, cfg)
         return run_rcdlin(man, obj, x0, cfg)
     if cfg.algorithm == "rgd":
         return run_rgd(man, obj, x0, cfg)
@@ -259,13 +253,13 @@ def _run_cd_inner(man: Manifold, obj: Objective, x0: np.ndarray,
                     trace.oracle_flops += obj.grad_flops + man.carrier_flops()
                 theta = man.coordinate_derivative_from_carrier(x, carrier, l)
                 _check_finite(theta, k, s, "coordinate derivative")
-                dflops, _ = man.flop_parts(l)
+                dflops, uflops = man.flop_parts(l)
                 trace.update_flops += dflops
                 if abs(theta) >= ZERO_DERIVATIVE_SKIP:
                     t = -scale * eta_k * theta
-                    x, rep = man.coordinate_retract(x, l, t, inplace=True)
-                    trace.update_flops += rep.flops
-                    if rep.clamped:
+                    x, clamped = man.coordinate_retract(x, l, t, inplace=True)
+                    trace.update_flops += uflops
+                    if clamped:
                         trace.clamped_steps += 1
                     if not fresh_gradient and s < n_inner - 1:
                         # keep the anchored carrier exact at the moved point
@@ -447,101 +441,3 @@ def flop_audit(trace: Trace, man: Manifold, cfg: OptimizerConfig) -> FlopAuditRe
         instrumentation_flops=trace.instrumentation_flops,
         ok=trace.oracle_calls == expected,
     )
-
-
-# -- disjoint-batch scheduler -------------------------------------------------
-
-
-def disjoint_batches(labels: list[CoordinateIndex]) -> list[list[CoordinateIndex]]:
-    """Split a pair-label sequence into maximal consecutive runs whose row
-    indices are pairwise disjoint (order within a run is preserved)."""
-    batches: list[list[CoordinateIndex]] = []
-    current: list[CoordinateIndex] = []
-    used: set[int] = set()
-    for l in labels:
-        if not isinstance(l, Pair):
-            raise ValueError("disjoint batching applies to pair labels only")
-        if l.i in used or l.j in used:
-            batches.append(current)
-            current = []
-            used = set()
-        current.append(l)
-        used.add(l.i)
-        used.add(l.j)
-    if current:
-        batches.append(current)
-    return batches
-
-
-def run_rcdlin_batched(man: Manifold, obj: Objective, x0: np.ndarray,
-                       cfg: OptimizerConfig):
-    """Anchored-gradient coordinate descent executing each epoch's selection
-    as grouped disjoint rotations.
-
-    Within a disjoint group the iterate rows a step reads are untouched by
-    the group's earlier steps, so every derivative, every intermediate state
-    and hence the whole trace is bitwise identical to the sequential run;
-    the group's rotations themselves are applied through the vectorized
-    disjoint-rotation kernel.
-    """
-    from .linalg import apply_disjoint_rotations
-
-    if man.family not in ("stiefel", "grassmann", "hyperbolic"):
-        raise ValueError("disjoint batching is implemented for the rotation families")
-    if cfg.selection != "without-replacement":
-        raise ValueError("disjoint batching requires without-replacement selection")
-    man.check_shape(x0)
-    x = x0.copy()
-    rng = SplitMix64(cfg.seed)
-    basis = man.enumerate_basis()
-    selector = Selector(cfg.selection, basis, rng)
-    n_inner = cfg.inner if cfg.inner is not None else len(basis)
-    trace = Trace(eta_used=cfg.eta)
-    hyper = man.family == "hyperbolic"
-    for k in range(cfg.epochs):
-        eta_k = _eta_at(cfg, k)
-        selector.reset_epoch()
-        labels = [selector.pick(s) for s in range(n_inner)]
-        carrier = man.derivative_carrier(x, obj.euclid_grad(x))
-        trace.oracle_calls += 1
-        trace.oracle_flops += obj.grad_flops + man.carrier_flops()
-        s = 0
-        for group in disjoint_batches(labels):
-            if cfg.trace == "step":
-                # per-step f values need every intermediate state; disjoint
-                # rows commute bitwise, so applying the group one rotation at
-                # a time through the batch kernel reproduces the sequential
-                # trace exactly, flop column included
-                for l in group:
-                    theta = man.coordinate_derivative_from_carrier(x, carrier, l)
-                    dflops, uflops = man.flop_parts(l)
-                    trace.update_flops += dflops
-                    if abs(theta) >= ZERO_DERIVATIVE_SKIP:
-                        kind = "hyperbolic" if (hyper and l.i == 0) else "circular"
-                        x = apply_disjoint_rotations(
-                            x, [(l.i, l.j, -eta_k * theta, kind)], inplace=True)
-                        trace.update_flops += uflops
-                    fval = _check_finite(obj.value(x), k, s, "objective")
-                    trace.records.append(IterationRecord(
-                        k, s, fval, None, None, trace.total_flops, None))
-                    s += 1
-            else:
-                # derivatives in a disjoint group read rows no step of the
-                # group writes, so they can be computed up front and the
-                # rotations applied as one concurrent batch
-                rotations = []
-                for l in group:
-                    theta = man.coordinate_derivative_from_carrier(x, carrier, l)
-                    dflops, uflops = man.flop_parts(l)
-                    trace.update_flops += dflops
-                    if abs(theta) >= ZERO_DERIVATIVE_SKIP:
-                        kind = "hyperbolic" if (hyper and l.i == 0) else "circular"
-                        rotations.append((l.i, l.j, -eta_k * theta, kind))
-                        trace.update_flops += uflops
-                x = apply_disjoint_rotations(x, rotations, inplace=True)
-                s += len(group)
-        if cfg.trace == "epoch":
-            fval = _check_finite(obj.value(x), k, n_inner - 1, "objective")
-            trace.records.append(IterationRecord(
-                k, n_inner - 1, fval, None, None, trace.total_flops, None))
-    return x, trace

@@ -181,18 +181,23 @@ def make_weighted_ls(n: int, p: int, density: float, seed: int):
             for j in range(i, n):
                 mask[i, j] = 1.0 if rng.uniform() < density else 0.0
                 mask[j, i] = mask[i, j]
-    b = mask * x_star
     desc = ManifoldDescriptor("spsd_factored", (n, p))
     spec = ProblemSpec("weighted-ls", desc, seed,
                        {"density": density, "x_star": x_star, "mask": mask})
-    grad_flops = 2 * n * n * p + 3 * n * n
-    obj = Objective(
+    return spec, weighted_ls_objective(spec), Reference(0.0, "closed_form", y_star)
+
+
+def weighted_ls_objective(spec: ProblemSpec) -> Objective:
+    """|A o (Y Y') - B|^2 for the mask A and planted X* of a weighted-ls spec."""
+    mask = spec.params["mask"]
+    b = mask * spec.params["x_star"]
+    n, p = spec.descriptor.dims
+    return Objective(
         value=lambda y: float(np.sum((mask * (y @ y.T) - b) ** 2)),
         euclid_grad=lambda y: 2.0 * (mask * (y @ y.T) - b),
-        grad_flops=grad_flops,
+        grad_flops=2 * n * n * p + 3 * n * n,
         name="weighted-ls",
     )
-    return spec, obj, Reference(0.0, "closed_form", y_star)
 
 
 # -- doubly stochastic smoke objective ----------------------------------------

@@ -165,6 +165,28 @@ class TestCliCommands:
         assert len(records) == 5
 
 
+def test_run_without_trace_reports_final_f(capsys, tmp_path):
+    args = ["run", "--problem", "procrustes", "--algo", "rcd", "--epochs", "5"]
+    path = str(tmp_path / "t.csv")
+    assert _run_cli(args + ["--trace", "step", "--out", path]) == 0
+    last = read_trace_csv(path)[-1].f
+    capsys.readouterr()
+    assert _run_cli(args + ["--trace", "none"]) == 0
+    out = capsys.readouterr().out
+    assert f"final_f={last:.12g}" in out
+
+
+def test_grid_scores_singular_projection_as_diverged(capsys):
+    code = _run_cli([
+        "grid", "--problem", "nearest-symplectic", "--algo", "rgd",
+        "--n", "4", "--p", "2", "--epochs", "20", "--seed", "1",
+    ])
+    assert code == 0
+    captured = capsys.readouterr()
+    assert json.loads(captured.out)["eta"] == 0.5
+    assert "(diverged)" in captured.err
+
+
 def test_grid_parallelism_is_deterministic(monkeypatch):
     from manifold_cd.bench import grid_search
 

@@ -162,8 +162,10 @@ class TestDoublyStochastic:
         assert man.feasibility_residual(out) <= 1e-12
 
     def test_clamped_step_reported(self):
-        out, rep = self.man.coordinate_retract(self.x, Entry(0, 0), 50.0)
-        assert rep.clamped
+        out, clamped = self.man.coordinate_retract(self.x, Entry(0, 0), 50.0)
+        assert clamped is True
+        _, unclamped = self.man.coordinate_retract(self.x, Entry(0, 0), 1e-3)
+        assert unclamped is False
         assert np.all(out > 0.0)
         assert self.man.feasibility_residual(out) <= 1e-12
 
@@ -289,6 +291,21 @@ class TestBuresWasserstein:
         got, _ = self.man.coordinate_retract(self.x, Pair(i, j), t)
         want = self._dense_step(self.x, i, j, t)
         assert np.max(np.abs(got - want)) <= 1e-12
+
+    def test_descent_step_matches_published_update(self):
+        """A descent step with stepsize eta retracts by -2 eta theta, giving
+        X - 2 eta theta (E X + X E) + 4 eta^2 theta^2 E X E."""
+        g = SplitMix64(103).gaussian(6, 6)
+        eta = 0.01
+        theta = self.man.coordinate_derivative(self.x, g, Pair(1, 3))
+        out, _ = self.man.coordinate_retract(
+            self.x, Pair(1, 3), -self.man.step_scale * eta * theta)
+        e = np.zeros((6, 6))
+        e[1, 3] = e[3, 1] = 1.0
+        x = self.x
+        want = (x - 2 * eta * theta * (e @ x + x @ e)
+                + 4 * eta * eta * theta * theta * (e @ x @ e))
+        assert np.max(np.abs(out - want)) <= 1e-12
 
     def test_update_touches_only_rows_cols(self):
         out, _ = self.man.coordinate_retract(self.x, Pair(1, 3), 0.05)

@@ -4,6 +4,7 @@ guarded distances, training monotonicity, and edge/non-edge separation."""
 import math
 
 import numpy as np
+import pytest
 
 from manifold_cd.embeddings import (
     edge_separation,
@@ -115,3 +116,15 @@ def test_flop_accounting_present():
     assert trace.oracle_calls == 5
     assert trace.oracle_flops > 0
     assert trace.update_flops > 0
+
+
+@pytest.mark.parametrize("algorithm, selection", [
+    ("rcd", "time-cyclic"), ("rgd", "cyclic"), ("tsd", "cyclic"),
+    ("rcdlin", "random"), ("rcdlin", "without-replacement"),
+])
+def test_unimplemented_configurations_rejected(algorithm, selection):
+    prob = make_lorentz_embed(3, 6, 1)
+    cfg = OptimizerConfig(algorithm=algorithm, epochs=1, eta=0.05,
+                          selection=selection, seed=1)
+    with pytest.raises(ValueError):
+        train(prob, cfg)

@@ -1,5 +1,5 @@
 """Optimizer engine: selection rules, determinism, flop audit, trace
-semantics, abort policy, the batched disjoint path, and the baselines."""
+semantics, abort policy, and the baselines."""
 
 import numpy as np
 import pytest
@@ -11,11 +11,9 @@ from manifold_cd.optimize import (
     OptimizeAbort,
     OptimizerConfig,
     Selector,
-    disjoint_batches,
     flop_audit,
     run_rcd,
     run_rcdlin,
-    run_rcdlin_batched,
     run_rgd,
     run_tsd,
 )
@@ -220,37 +218,6 @@ class TestFlopAudit:
         assert trace.update_flops == 10 * dflops
 
 
-class TestBatchedDisjoint:
-    def test_batched_equals_sequential_bitwise(self):
-        spec, obj, _ = make_procrustes(12, 5, 3)
-        man = make_manifold(spec.descriptor)
-        x0 = initial_point(spec)
-        for mode in ("step", "epoch"):
-            cfg = OptimizerConfig(algorithm="rcdlin", epochs=6, eta=0.1,
-                                  selection="without-replacement", seed=4,
-                                  trace=mode)
-            xs, ts = run_rcdlin(man, obj, x0, cfg)
-            xp, tp = run_rcdlin_batched(man, obj, x0, cfg)
-            assert np.array_equal(xs, xp)
-            if mode == "step":
-                assert ts.records == tp.records
-            assert ts.total_flops == tp.total_flops
-
-    def test_disjoint_batches_partition(self):
-        labels = [Pair(0, 1), Pair(2, 3), Pair(1, 2), Pair(4, 5)]
-        groups = disjoint_batches(labels)
-        assert groups == [[Pair(0, 1), Pair(2, 3)], [Pair(1, 2), Pair(4, 5)]]
-        assert sum(len(g) for g in groups) == len(labels)
-
-    def test_requires_without_replacement(self):
-        spec, obj, _ = make_procrustes(8, 3, 3)
-        man = make_manifold(spec.descriptor)
-        cfg = OptimizerConfig(algorithm="rcdlin", epochs=1, eta=0.1,
-                              selection="cyclic", seed=0)
-        with pytest.raises(ValueError):
-            run_rcdlin_batched(man, obj, initial_point(spec), cfg)
-
-
 class TestBaselines:
     def test_rgd_converges_on_procrustes(self):
         spec, obj, ref = make_procrustes(14, 6, 7)
@@ -351,27 +318,6 @@ class TestRenormalization:
             dirty = x * (1.0 + 1e-6) if family != "hyperbolic" else x + 1e-6
             fixed = man.renormalize(dirty)
             assert man.feasibility_residual(fixed) <= 1e-10
-
-
-def test_batched_disjoint_on_hyperbolic():
-    from manifold_cd.optimize import Objective as Obj
-
-    man = make_manifold(ManifoldDescriptor("hyperbolic", (6, 1)))
-    x0 = man.random_point(SplitMix64(44))
-    c = SplitMix64(45).gaussian(6, 1)
-    obj = Obj(value=lambda x: float(np.sum(c * x)), euclid_grad=lambda x: c)
-    cfg = OptimizerConfig(algorithm="rcdlin", epochs=5, eta=0.05,
-                          selection="without-replacement", seed=6,
-                          batch_disjoint=True)
-    from manifold_cd.optimize import optimize as run_opt
-
-    xa, ta = run_opt(man, obj, x0, cfg)
-    cfg_seq = OptimizerConfig(algorithm="rcdlin", epochs=5, eta=0.05,
-                              selection="without-replacement", seed=6)
-    xb, tb = run_rcdlin(man, obj, x0, cfg_seq)
-    assert np.array_equal(xa, xb)
-    assert ta.records == tb.records
-    assert man.feasibility_residual(xa) <= 1e-12
 
 
 def test_flop_ledger_arithmetic_exact():

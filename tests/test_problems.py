@@ -227,25 +227,75 @@ class TestWeightedLs:
         assert abs(mask.mean() - 0.7) < 0.05
 
     def test_structured_rcdlin_matches_generic_values(self):
-        """The structured runner follows the same anchored semantics as the
-        generic engine (same selection stream, same update rule)."""
+        """The structured runner is the anchored engine on the factored
+        family, priced by the masked-sparsity model; its iterates also match
+        an independent dense loop over the same selection stream."""
         spec, obj, _ = make_weighted_ls(12, 3, 1.0, 7)
         y0 = initial_point(spec)
         cfg = OptimizerConfig(algorithm="rcdlin", epochs=20, inner=7,
                               eta=0.2, selection="without-replacement",
                               seed=7, trace="epoch")
-        y_struct, _ = run_wls_rcdlin_structured(spec, y0, cfg)
-        y_gen, _ = run_rcdlin(make_manifold(spec.descriptor), obj, y0, cfg)
-        assert np.max(np.abs(y_struct - y_gen)) <= 1e-9
+        y_struct, tr = run_wls_rcdlin_structured(spec, y0, cfg)
+        y_gen, tr_gen = run_rcdlin(make_manifold(spec.descriptor), obj, y0, cfg)
+        assert np.array_equal(y_struct, y_gen)
+        assert [r.f for r in tr.records] == [r.f for r in tr_gen.records]
+        model = wls_structured_flops(12, 3, 1.0, 7)
+        assert [r.flops for r in tr.records] == [
+            model["init"] + (k + 1) * model["cd_epoch"] for k in range(20)]
+        assert tr.oracle_calls == 21 and tr.update_flops == 0
+        assert tr.total_flops == tr.records[-1].flops
+
+        mask, x_star = spec.params["mask"], spec.params["x_star"]
+        y_ref = y0.copy()
+        rng = SplitMix64(cfg.seed)
+        for _ in range(cfg.epochs):
+            anchor = mask * (y_ref @ y_ref.T) - mask * x_star
+            for t_lin in rng.permutation(12 * 3)[:cfg.inner]:
+                i, j = divmod(int(t_lin), 3)
+                y_ref[i, j] -= cfg.eta * 4.0 * float(np.dot(anchor[i], y_ref[:, j]))
+        assert np.max(np.abs(y_struct - y_ref)) <= 1e-9
 
     def test_structured_rgd_matches_generic_values(self):
         spec, obj, _ = make_weighted_ls(12, 3, 1.0, 7)
         y0 = initial_point(spec)
         cfg = OptimizerConfig(algorithm="rgd", epochs=25, eta=0.2, seed=7,
                               trace="epoch")
-        y_struct, _ = run_wls_rgd_structured(spec, obj, y0, cfg)
-        y_gen, _ = run_rgd(make_manifold(spec.descriptor), obj, y0, cfg)
-        assert np.max(np.abs(y_struct - y_gen)) <= 1e-12
+        y_struct, tr = run_wls_rgd_structured(spec, obj, y0, cfg)
+        y_gen, tr_gen = run_rgd(make_manifold(spec.descriptor), obj, y0, cfg)
+        assert np.array_equal(y_struct, y_gen)
+        assert [r.f for r in tr.records] == [r.f for r in tr_gen.records]
+        per_epoch = wls_structured_flops(12, 3, 1.0, 1)["rgd_epoch"]
+        assert [r.flops for r in tr.records] == [(k + 1) * per_epoch for k in range(25)]
+        assert tr.oracle_calls == 25 and tr.update_flops == 0
+
+    def test_structured_runner_runs_every_charged_step(self):
+        """With more inner steps than coordinates all S steps run, as the
+        ledger charges them."""
+        spec, obj, _ = make_weighted_ls(6, 2, 1.0, 3)
+        y0 = initial_point(spec)
+        man = make_manifold(spec.descriptor)
+        runs = {}
+        for inner in (12, 30):
+            cfg = OptimizerConfig(algorithm="rcdlin", epochs=2, inner=inner,
+                                  eta=0.1, selection="without-replacement",
+                                  seed=3, trace="epoch")
+            y, tr = run_wls_rcdlin_structured(spec, y0, cfg)
+            assert np.array_equal(y, run_rcdlin(man, obj, y0, cfg)[0])
+            model = wls_structured_flops(6, 2, 1.0, inner)
+            assert tr.total_flops == model["init"] + 2 * model["cd_epoch"]
+            runs[inner] = y
+        assert not np.array_equal(runs[12], runs[30])
+
+    @pytest.mark.parametrize("trace", ["step", "none"])
+    def test_structured_runners_need_epoch_trace(self, trace):
+        spec, obj, _ = make_weighted_ls(6, 2, 1.0, 3)
+        y0 = initial_point(spec)
+        with pytest.raises(ValueError):
+            run_wls_rcdlin_structured(spec, y0, OptimizerConfig(
+                algorithm="rcdlin", epochs=1, trace=trace))
+        with pytest.raises(ValueError):
+            run_wls_rgd_structured(spec, obj, y0, OptimizerConfig(
+                algorithm="rgd", epochs=1, trace=trace))
 
     def test_flop_model_shapes(self):
         model = wls_structured_flops(40, 8, 0.7, 64)

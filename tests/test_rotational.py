@@ -21,7 +21,6 @@ from manifold_cd.manifolds.stiefel import (
     stiefel_canonical_gradient,
     stiefel_canonical_inner,
     tsd_column_step,
-    tsd_coordinate_step,
     tsd_enumerate,
     tsd_pair_step,
 )
@@ -46,6 +45,13 @@ class TestStiefel:
         g = self.x @ (0.5 * (s + s.T))
         for l in self.man.enumerate_basis():
             assert abs(self.man.coordinate_derivative(self.x, g, l)) <= 1e-13
+
+    def test_gradient_equal_to_point_is_fixed_point(self):
+        for l in self.man.enumerate_basis():
+            theta = self.man.coordinate_derivative(self.x, self.x, l)
+            assert abs(theta) <= 1e-14
+            out, _ = self.man.coordinate_retract(self.x, l, -0.5 * theta)
+            assert np.max(np.abs(out - self.x)) <= 1e-14
 
     def test_explicit_two_by_two_rotation(self):
         man = make_manifold(ManifoldDescriptor("stiefel", (2, 1)))
@@ -321,7 +327,10 @@ class TestColumnwiseBaseline:
         for k in range(1000):
             l = labels[rng.below(len(labels))]
             g = SplitMix64(9000 + k).gaussian(7, 3)
-            y = tsd_coordinate_step(y, l, 0.05, g)
+            if isinstance(l, Pair):
+                y, _ = tsd_pair_step(y, l.i, l.j, 0.05, g)
+            else:
+                y, _ = tsd_column_step(y, l.k, 0.05, g)
         assert self.man.feasibility_residual(y) <= 1e-12
 
     def test_pair_step_descends_linear_objective(self):

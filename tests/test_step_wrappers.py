@@ -1,51 +1,28 @@
-"""The per-family step helpers compose derivative and retraction exactly as
-the engine does, and report theta plus total step flops."""
+"""A single descent step composed from the Manifold contract, as the engine
+composes it: theta from the closed form, then the cheap retraction with
+parameter -step_scale * eta * theta."""
 
 import numpy as np
 
 from manifold_cd import ManifoldDescriptor, make_manifold
 from manifold_cd.indices import Entry, Pair
-from manifold_cd.manifolds import (
-    coordinate_step,
-    ds_coordinate_step,
-    ds_riemannian_gradient,
-    hyperbolic_coordinate_step,
-    multinomial_coordinate_step,
-    spd_bw_coordinate_step,
-    spsd_coordinate_step,
-    spsd_coordinate_step_entry,
-    stiefel_coordinate_step,
-    symplectic_coordinate_step,
-)
+from manifold_cd.optimize import Objective, OptimizerConfig, run_rcd
 from manifold_cd.rng import SplitMix64
 
 
-def test_stiefel_wrapper():
-    man = make_manifold(ManifoldDescriptor("stiefel", (7, 3)))
-    x = man.random_point(SplitMix64(1))
-    g = SplitMix64(2).gaussian(7, 3)
-    out, rep = stiefel_coordinate_step(x, 1, 4, 0.1, g)
-    th = man.coordinate_derivative(x, g, Pair(1, 4))
-    want, _ = man.coordinate_retract(x, Pair(1, 4), -0.1 * th)
-    assert np.array_equal(out, want)
-    assert rep.theta == th
-    assert rep.flops == man.flop_cost(Pair(1, 4))
-
-
-def test_gradient_equal_to_x_is_fixed_point():
-    man = make_manifold(ManifoldDescriptor("stiefel", (6, 2)))
-    x = man.random_point(SplitMix64(3))
-    out, rep = stiefel_coordinate_step(x, 0, 3, 0.5, x)
-    assert abs(rep.theta) <= 1e-14
+def _descent_step(man, x, l, eta, g):
+    theta = man.coordinate_derivative(x, g, l)
+    out, _clamped = man.coordinate_retract(x, l, -man.step_scale * eta * theta)
+    return out, theta
 
 
 def test_hyperbolic_wrapper_feasibility():
     man = make_manifold(ManifoldDescriptor("hyperbolic", (5, 1)))
     x = man.random_point(SplitMix64(4))
     g = SplitMix64(5).gaussian(5, 1)
-    out, rep = hyperbolic_coordinate_step(x, 0, 2, 0.05, g)
+    out, theta = _descent_step(man, x, Pair(0, 2), 0.05, g)
     assert man.feasibility_residual(out) <= 1e-12
-    assert rep.theta is not None
+    assert theta != 0.0
 
 
 def test_symplectic_wrapper_feasibility():
@@ -53,7 +30,7 @@ def test_symplectic_wrapper_feasibility():
     x = man.random_point(SplitMix64(6))
     g = SplitMix64(7).gaussian(6, 4)
     for pair in ((0, 0), (0, 3), (1, 4), (4, 5)):
-        out, _ = symplectic_coordinate_step(x, pair[0], pair[1], 0.02, g)
+        out, _ = _descent_step(man, x, Pair(*pair), 0.02, g)
         assert man.feasibility_residual(out) <= 1e-10
 
 
@@ -63,9 +40,9 @@ def test_ds_wrapper_and_gradient():
     man = make_manifold(ManifoldDescriptor("doubly_stochastic", (4, 5), mu=mu, nu=nu))
     x = man.random_point(SplitMix64(8))
     g = SplitMix64(9).gaussian(4, 5)
-    out, _ = ds_coordinate_step(x, 1, 2, 0.1, g, mu, nu)
+    out, _ = _descent_step(man, x, Entry(1, 2), 0.1, g)
     assert man.feasibility_residual(out) <= 1e-12
-    u = ds_riemannian_gradient(x, g, mu, nu)
+    u = man.riemannian_gradient(x, g)
     assert np.max(np.abs(u.sum(axis=1))) <= 1e-10
 
 
@@ -73,38 +50,17 @@ def test_multinomial_wrapper():
     man = make_manifold(ManifoldDescriptor("multinomial", (4, 3)))
     x = man.random_point(SplitMix64(10))
     g = SplitMix64(11).gaussian(4, 3)
-    out, _ = multinomial_coordinate_step(x, 2, 0, 0.1, g)
+    out, _ = _descent_step(man, x, Entry(2, 0), 0.1, g)
     assert np.max(np.abs(out.sum(axis=1) - 1.0)) <= 1e-14
-
-
-def test_spsd_wrappers_agree():
-    man = make_manifold(ManifoldDescriptor("spsd_factored", (6, 2)))
-    y = man.random_point(SplitMix64(12))
-    g = SplitMix64(13).gaussian(6, 6)
-    out, rep = spsd_coordinate_step(y, 3, 1, 0.2, g)
-    direct, rep2 = spsd_coordinate_step_entry(y, 3, 1, 0.2, rep.theta)
-    assert np.array_equal(out, direct)
-    assert rep2.flops == 3
-
-
-def test_bw_wrapper_matches_published_update():
-    man = make_manifold(ManifoldDescriptor("spd_bures_wasserstein", (5, 5)))
-    x = man.random_point(SplitMix64(14))
-    g = SplitMix64(15).gaussian(5, 5)
-    gs = 0.5 * (g + g.T)
-    eta = 0.01
-    out, rep = spd_bw_coordinate_step(x, 1, 3, eta, g)
-    e = np.zeros((5, 5))
-    e[1, 3] = e[3, 1] = 1.0
-    th = rep.theta
-    want = (x - 2 * eta * th * (e @ x + x @ e)
-            + 4 * eta * eta * th * th * (e @ x @ e))
-    assert np.max(np.abs(out - want)) <= 1e-12
 
 
 def test_generic_step_zero_gradient_skips():
     man = make_manifold(ManifoldDescriptor("stiefel", (5, 2)))
-    x = man.random_point(SplitMix64(16))
-    out, rep = coordinate_step(man, x, Pair(0, 1), 0.3, np.zeros((5, 2)))
-    assert np.array_equal(out, x)
-    assert rep.flops == man.flop_parts(Pair(0, 1))[0]
+    x0 = man.random_point(SplitMix64(16))
+    obj = Objective(value=lambda x: 0.0,
+                    euclid_grad=lambda x: np.zeros((5, 2)))
+    cfg = OptimizerConfig(algorithm="rcd", epochs=1, inner=1, eta=0.3,
+                          selection="cyclic", seed=0)
+    x, trace = run_rcd(man, obj, x0, cfg)
+    assert np.array_equal(x, x0)
+    assert trace.update_flops == man.flop_parts(Pair(0, 1))[0]
