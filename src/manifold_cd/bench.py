@@ -17,7 +17,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import embeddings
-from .flops import ZERO_DERIVATIVE_SKIP
 from .indices import Pair
 from .manifolds import make_manifold
 from .manifolds.symplectic import symplectic_block_step
@@ -26,9 +25,10 @@ from .optimize import (
     Objective,
     OptimizerConfig,
     Trace,
-    _check_finite,
-    _eta_at,
+    coordinate_basis,
+    coordinate_step,
     optimize,
+    run_epochs,
     run_rcdlin,
     run_rgd,
 )
@@ -294,45 +294,25 @@ def run_symplectic_block_cd(spec: ProblemSpec, obj: Objective, x0: np.ndarray,
                             cfg: OptimizerConfig):
     """Fresh-gradient block coordinate descent on the symplectic family.
 
-    Per epoch: one upper-left block step, one lower-right block step, one
-    cross-diagonal block step (the three patterns with cheap closed-form
-    retractions) and a cyclic pass of single coordinate steps over the mixed
-    pairs (i, n + j), i != j, which no block pattern covers.  This touches
-    every basis direction once per epoch at a fraction of the flops of a
-    full single-coordinate sweep.
+    Each epoch sweeps one upper-left block step, one lower-right block step,
+    one cross-diagonal block step (the three patterns with cheap closed-form
+    retractions) and then the engine's coordinate steps over the mixed pairs
+    (i, n + j), i != j, which no block pattern covers.  This touches every
+    basis direction once per epoch at a fraction of the flops of a full
+    single-coordinate sweep.  The sweep runs on the shared epoch loop, so
+    selection, records and log cadences follow ``cfg``.
     """
     man = make_manifold(spec.descriptor)
-    n = spec.descriptor.dims[0]
-    p = spec.descriptor.dims[1]
+    n, p = spec.descriptor.dims
     costs = block_flops(n, p)
-    mixed = [Pair(i, n + j) for i in range(n) for j in range(n) if j != i]
-    x = x0.copy()
-    trace = Trace(eta_used=cfg.eta)
-    with np.errstate(over="ignore", invalid="ignore"):
-        return _block_cd_loop(man, obj, x, cfg, costs, mixed, trace)
+    pair_step = coordinate_step(man)
 
+    def step(x, g, l, eta, trace, k, s):
+        if isinstance(l, str):
+            trace.update_flops += costs[l]
+            return symplectic_block_step(x, l, eta, g, inplace=True)
+        return pair_step(x, g, l, eta, trace, k, s)
 
-def _block_cd_loop(man, obj, x, cfg, costs, mixed, trace):
-    for k in range(cfg.epochs):
-        eta_k = _eta_at(cfg, k)
-        for which in ("upper_left", "lower_right", "diag_cross"):
-            g = obj.euclid_grad(x)
-            trace.oracle_calls += 1
-            trace.oracle_flops += obj.grad_flops
-            x = symplectic_block_step(x, which, eta_k, g, inplace=True)
-            trace.update_flops += costs[which]
-        for l in mixed:
-            g = obj.euclid_grad(x)
-            trace.oracle_calls += 1
-            trace.oracle_flops += obj.grad_flops
-            theta = man.coordinate_derivative_from_carrier(x, g, l)
-            _check_finite(theta, k, 0, "coordinate derivative")
-            dflops, uflops = man.flop_parts(l)
-            trace.update_flops += dflops
-            if abs(theta) >= ZERO_DERIVATIVE_SKIP:
-                x, _ = man.coordinate_retract(x, l, -eta_k * theta, inplace=True)
-                trace.update_flops += uflops
-        fval = _check_finite(obj.value(x), k, 0, "objective")
-        trace.records.append(IterationRecord(
-            k, 0, fval, None, None, trace.total_flops, None))
-    return x, trace
+    labels = list(costs) + [Pair(i, n + j) for i in range(n) for j in range(n) if j != i]
+    return run_epochs(man, obj, x0, cfg, coordinate_basis(man, cfg.selection, labels),
+                      step, fresh_oracle=True)

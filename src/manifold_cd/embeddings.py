@@ -21,6 +21,7 @@ gradient and their distance is treated as 0.
 from __future__ import annotations
 
 import math
+import time
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -154,14 +155,21 @@ def train(prob: HierarchyProblem, cfg: OptimizerConfig):
 
     Per epoch: one gradient oracle, then for every word the selected row
     pairs are rotated in sequence (time-cyclic selection loops over the
-    pairs (0, 1) ... (0, n-1); cyclic over all row pairs).  Only this
-    anchored algorithm (``rcdlin``) with those two selections is
-    implemented; any other configuration raises ValueError.
+    pairs (0, 1) ... (0, n-1); cyclic over all row pairs), and one record
+    (k, 0) unless ``trace`` is "none"; ``log_wall`` adds the wall time.
+    Only this anchored algorithm (``rcdlin``) with those two selections is
+    implemented; any other configuration, and any inner count, log cadence,
+    early stop or renormalization cadence, raises ValueError.
     """
     if cfg.algorithm != "rcdlin" or cfg.selection not in ("cyclic", "time-cyclic"):
         raise ValueError(
             "hyperbolic embedding training runs rcdlin with cyclic or time-cyclic "
             f"selection, not {cfg.algorithm} with {cfg.selection}")
+    unsupported = [f for f in ("inner", "grad_log_every", "feas_log_every",
+                               "stop_grad_tol", "renormalize_every") if getattr(cfg, f)]
+    if unsupported:
+        raise ValueError(f"lorentz training does not support {', '.join(unsupported)}")
+    t0 = time.monotonic_ns() if cfg.log_wall else None
     x = initial_embedding(prob)
     n = prob.n_dim
     if cfg.selection == "time-cyclic":
@@ -197,8 +205,10 @@ def train(prob: HierarchyProblem, cfg: OptimizerConfig):
                 apply_rotation(col, i, j, angle, "left", kind, inplace=True)
                 trace.update_flops += 6
             x[:, u] = col.reshape(-1)
-        trace.records.append(IterationRecord(
-            k, 0, loss(prob, x), None, None, trace.total_flops, None))
+        if cfg.trace != "none":
+            wall = time.monotonic_ns() - t0 if cfg.log_wall else None
+            trace.records.append(IterationRecord(
+                k, 0, loss(prob, x), None, None, trace.total_flops, wall))
     return x, trace
 
 

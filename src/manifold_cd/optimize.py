@@ -1,32 +1,35 @@
 """Coordinate-descent optimizers and full-gradient baselines.
 
-Two coordinate algorithms share one engine:
+Every optimizer is one epoch loop (``run_epochs``) given the labels to sweep,
+a step function and the oracle cadence:
 
-* ``rcd``     refreshes the gradient before every inner step;
-* ``rcdlin``  anchors the gradient at the epoch start and reuses it for all
-  S inner steps (the basis is still built at the current iterate).
+* ``rcd``     coordinate steps, the gradient refreshed before every step;
+* ``rcdlin``  the same steps with the gradient anchored at the epoch start
+  and reused for all S inner steps (the basis is still built at the current
+  iterate);
+* ``rgd``     one full Riemannian gradient step per epoch;
+* ``tsd``     the column-wise Stiefel baseline (column-pair rotations plus
+  per-column sphere steps), the gradient refreshed before every step.
 
-With S = 1 and randomized selection the two are the same algorithm, and for
-constant-gradient objectives they coincide for any S; both facts hold
-bitwise here because the algorithms differ only in when the derivative
-carrier is refreshed.
-
-Baselines: ``rgd`` takes one full Riemannian gradient step per epoch through
-the family's full retraction; ``tsd`` is the column-wise Stiefel coordinate
-baseline (column-pair rotations plus per-column sphere steps).
+The loop owns the stepsize schedule, the log cadences, the early stop, the
+renormalization cadence, the records, the finite checks and the BW halving
+ladder, so every optimizer honours the same configuration.  With S = 1 and
+randomized selection rcd and rcdlin are the same algorithm, and for
+constant-gradient objectives they coincide for any S, bitwise.
 
 Selection rules: cyclic (position s mod |I| in enumeration order), random
 (uniform, rejection-sampled), without-replacement (a fresh uniform
 permutation per |I| block), and time-cyclic (hyperbolic only: the pairs
 (0,1), (0,2), ..., (0,n-1)).
 
-Accounting: oracle flops (gradient + derivative-carrier construction,
-charged per invocation), update flops (the published per-coordinate model;
-skipped steps charge only the derivative part) and instrumentation flops
-(objective values, gradient-norm and feasibility logs) are tracked
-separately; the trace's cumulative ``flops`` column is oracle + update.
-Wall-clock time is sampled from a monotonic clock only when ``log_wall``
-is set, so by default repeated runs emit byte-identical traces.
+Accounting: oracle flops (gradient, plus derivative-carrier construction for
+rcd/rcdlin, charged per invocation), update flops (the published
+per-coordinate model; skipped steps charge only the derivative part) and
+instrumentation flops (objective values, gradient-norm and feasibility
+logs) are tracked separately; the trace's cumulative ``flops`` column is
+oracle + update.  Wall-clock time is sampled from a monotonic clock only
+when ``log_wall`` is set, so by default repeated runs emit byte-identical
+traces.
 """
 
 from __future__ import annotations
@@ -75,7 +78,7 @@ class Objective:
 class OptimizerConfig:
     algorithm: str = "rcd"
     epochs: int = 100          # K
-    inner: int | None = None   # S; defaults to |I| (ignored by rgd)
+    inner: int | None = None   # S; defaults to |I| (rgd rejects it)
     eta: float = 0.1
     eta_decay: float = 0.0     # eta_k = eta / (1 + eta_decay * k)
     selection: str = "cyclic"
@@ -85,7 +88,6 @@ class OptimizerConfig:
     log_wall: bool = False
     trace: str = "step"        # "step", "epoch", or "none"
     stop_grad_tol: float = 0.0  # early stop on epoch-start |grad| (0 = off)
-    spd_probe_every: int = 1   # BW only: min-eigenvalue probe cadence
     renormalize_every: int = 0  # epochs between feasibility restorations (0 = off)
 
     def __post_init__(self):
@@ -133,17 +135,12 @@ class Trace:
 class Selector:
     """Deterministic index selection; only randomized rules consume the rng."""
 
-    def __init__(self, rule: str, basis: list[CoordinateIndex], rng: SplitMix64,
-                 time_cyclic_rows: int | None = None):
+    def __init__(self, rule: str, basis: list[CoordinateIndex], rng: SplitMix64):
         self.rule = rule
         self.basis = basis
         self.rng = rng
         self._perm: np.ndarray | None = None
         self._pos = 0
-        if rule == "time-cyclic":
-            if time_cyclic_rows is None:
-                raise ValueError("time-cyclic selection is only valid on the hyperbolic family")
-            self.basis = [Pair(0, j) for j in range(1, time_cyclic_rows)]
 
     def pick(self, s: int) -> CoordinateIndex:
         m = len(self.basis)
@@ -178,216 +175,175 @@ def _check_finite(v: float, k: int, s: int, what: str) -> float:
     return v
 
 
+def coordinate_basis(man: Manifold, selection: str, labels=None) -> list:
+    """The labels an epoch sweeps: ``labels`` (by default the family's
+    coordinate basis), or under time-cyclic selection the hyperbolic time
+    pairs (0, 1), ..., (0, n-1).  Every other family rejects time-cyclic."""
+    if selection != "time-cyclic":
+        return man.enumerate_basis() if labels is None else labels
+    if man.family != "hyperbolic":
+        raise ValueError("time-cyclic selection is only valid on the hyperbolic family")
+    return [Pair(0, j) for j in range(1, man.ambient_shape[0])]
+
+
+def _inner_steps(cfg: OptimizerConfig, labels: list) -> int:
+    return cfg.inner if cfg.inner is not None else len(labels)
+
+
+def coordinate_step(man: Manifold, anchored_steps: int = 0):
+    """The engine's coordinate step: read theta from the oracle output at
+    label l, skip a zero derivative, retract with -step_scale * eta * theta
+    and charge the published flops.  With ``anchored_steps`` = S the carrier
+    is anchored for the epoch and kept exact by ``update_carrier`` after
+    every step but the last."""
+    scale = man.step_scale
+    last = anchored_steps - 1
+
+    def step(x, d, l, eta, trace, k, s):
+        theta = man.coordinate_derivative_from_carrier(x, d, l)
+        _check_finite(theta, k, s, "coordinate derivative")
+        dflops, uflops = man.flop_parts(l)
+        trace.update_flops += dflops
+        if abs(theta) >= ZERO_DERIVATIVE_SKIP:
+            t = -scale * eta * theta
+            x, clamped = man.coordinate_retract(x, l, t, inplace=True)
+            trace.update_flops += uflops
+            if clamped:
+                trace.clamped_steps += 1
+            if s < last:
+                # no-op for families whose carrier ignores the point
+                trace.oracle_flops += man.update_carrier(d, x, l, t)
+        return x
+
+    return step
+
+
 def run_rcd(man: Manifold, obj: Objective, x0: np.ndarray, cfg: OptimizerConfig):
-    return _run_cd(man, obj, x0, cfg, fresh_gradient=True)
+    labels = coordinate_basis(man, cfg.selection)
+    return run_epochs(man, obj, x0, cfg, labels, coordinate_step(man),
+                      fresh_oracle=True, carrier=True)
 
 
 def run_rcdlin(man: Manifold, obj: Objective, x0: np.ndarray, cfg: OptimizerConfig):
-    return _run_cd(man, obj, x0, cfg, fresh_gradient=False)
-
-
-def optimize(man: Manifold, obj: Objective, x0: np.ndarray, cfg: OptimizerConfig):
-    if cfg.algorithm == "rcd":
-        return run_rcd(man, obj, x0, cfg)
-    if cfg.algorithm == "rcdlin":
-        return run_rcdlin(man, obj, x0, cfg)
-    if cfg.algorithm == "rgd":
-        return run_rgd(man, obj, x0, cfg)
-    return run_tsd(man, obj, x0, cfg)
-
-
-def _run_cd(man: Manifold, obj: Objective, x0: np.ndarray, cfg: OptimizerConfig,
-            fresh_gradient: bool):
-    with np.errstate(over="ignore", invalid="ignore"):
-        return _run_cd_inner(man, obj, x0, cfg, fresh_gradient)
-
-
-def _run_cd_inner(man: Manifold, obj: Objective, x0: np.ndarray,
-                  cfg: OptimizerConfig, fresh_gradient: bool):
-    man.check_shape(x0)
-    x = x0.copy()
-    rng = SplitMix64(cfg.seed)
-    rows = man.ambient_shape[0] if man.family == "hyperbolic" else None
-    if cfg.selection == "time-cyclic" and man.family != "hyperbolic":
-        raise ValueError("time-cyclic selection is only valid on the hyperbolic family")
-    basis = man.enumerate_basis()
-    selector = Selector(cfg.selection, basis, rng, time_cyclic_rows=rows)
-    n_inner = cfg.inner if cfg.inner is not None else len(selector.basis)
-    trace = Trace(eta_used=cfg.eta)
-    t0 = time.monotonic_ns() if cfg.log_wall else None
-    scale = man.step_scale
-    probe_bw = man.family == "spd_bures_wasserstein" and cfg.spd_probe_every > 0
-    carrier = None
-    eta = cfg.eta
-    halvings = 0
-    k = 0
-    while k < cfg.epochs:
-        eta_k = eta if cfg.eta_decay == 0.0 else eta / (1.0 + cfg.eta_decay * k)
-        selector.reset_epoch()
-        epoch_grad = None
-        epoch_feas = None
-        if cfg.grad_log_every and k % cfg.grad_log_every == 0:
-            g = obj.euclid_grad(x)
-            epoch_grad = man.gradient_norm(x, g)
-            trace.instrumentation_flops += obj.grad_flops
-        if cfg.feas_log_every and k % cfg.feas_log_every == 0:
-            epoch_feas = man.feasibility_residual(x)
-        if cfg.stop_grad_tol > 0.0:
-            g = obj.euclid_grad(x)
-            if man.gradient_norm(x, g) <= cfg.stop_grad_tol:
-                break
-        if probe_bw:
-            epoch_start = x.copy()
-            flops_mark = (trace.oracle_calls, trace.oracle_flops, trace.update_flops,
-                          len(trace.records))
-        try:
-            if not fresh_gradient:
-                carrier = man.derivative_carrier(x, obj.euclid_grad(x))
-                trace.oracle_calls += 1
-                trace.oracle_flops += obj.grad_flops + man.carrier_flops()
-            for s in range(n_inner):
-                l = selector.pick(s)
-                if fresh_gradient:
-                    carrier = man.derivative_carrier(x, obj.euclid_grad(x))
-                    trace.oracle_calls += 1
-                    trace.oracle_flops += obj.grad_flops + man.carrier_flops()
-                theta = man.coordinate_derivative_from_carrier(x, carrier, l)
-                _check_finite(theta, k, s, "coordinate derivative")
-                dflops, uflops = man.flop_parts(l)
-                trace.update_flops += dflops
-                if abs(theta) >= ZERO_DERIVATIVE_SKIP:
-                    t = -scale * eta_k * theta
-                    x, clamped = man.coordinate_retract(x, l, t, inplace=True)
-                    trace.update_flops += uflops
-                    if clamped:
-                        trace.clamped_steps += 1
-                    if not fresh_gradient and s < n_inner - 1:
-                        # keep the anchored carrier exact at the moved point
-                        # (no-op for families whose carrier ignores the point)
-                        trace.oracle_flops += man.update_carrier(carrier, x, l, t)
-                if cfg.trace == "step" or (cfg.trace == "epoch" and s == n_inner - 1):
-                    fval = _check_finite(obj.value(x), k, s, "objective")
-                    wall = time.monotonic_ns() - t0 if cfg.log_wall else None
-                    trace.records.append(IterationRecord(
-                        k, s, fval,
-                        epoch_grad if s == 0 else None,
-                        epoch_feas if s == 0 else None,
-                        trace.total_flops, wall,
-                    ))
-                    if cfg.trace == "epoch":
-                        trace.records[-1].grad_norm = epoch_grad
-                        trace.records[-1].feasibility = epoch_feas
-            probe_failed = (probe_bw and (k % cfg.spd_probe_every == 0)
-                            and man.min_eigenvalue(x) <= 0.0)
-        except OptimizeAbort:
-            # a mid-epoch overflow counts as a failed definiteness probe when
-            # the probe is active (the stepsize is simply too large)
-            if not probe_bw:
-                raise
-            probe_failed = True
-        if probe_failed:
-            if halvings >= 30:
-                raise OptimizeAbort(k, 0, "definiteness probe after 30 stepsize halvings")
-            halvings += 1
-            eta *= 0.5
-            trace.eta_used = eta
-            x = epoch_start
-            trace.oracle_calls, trace.oracle_flops, trace.update_flops, nrec = flops_mark
-            del trace.records[nrec:]
-            continue
-        if cfg.renormalize_every and (k + 1) % cfg.renormalize_every == 0:
-            x = man.renormalize(x)
-        k += 1
-    return x, trace
+    labels = coordinate_basis(man, cfg.selection)
+    step = coordinate_step(man, anchored_steps=_inner_steps(cfg, labels))
+    return run_epochs(man, obj, x0, cfg, labels, step, fresh_oracle=False, carrier=True)
 
 
 def run_rgd(man: Manifold, obj: Objective, x0: np.ndarray, cfg: OptimizerConfig):
-    with np.errstate(over="ignore", invalid="ignore"):
-        return _run_rgd_inner(man, obj, x0, cfg)
+    """One full Riemannian gradient step per epoch."""
+    if cfg.selection != "cyclic" or cfg.inner is not None:
+        raise ValueError("rgd takes one full step per epoch: use cyclic selection, no inner")
 
-
-def _run_rgd_inner(man: Manifold, obj: Objective, x0: np.ndarray, cfg: OptimizerConfig):
-    man.check_shape(x0)
-    x = x0.copy()
-    trace = Trace(eta_used=cfg.eta)
-    t0 = time.monotonic_ns() if cfg.log_wall else None
-    for k in range(cfg.epochs):
-        eta_k = _eta_at(cfg, k)
-        epoch_grad = None
-        epoch_feas = None
-        g = obj.euclid_grad(x)
-        trace.oracle_calls += 1
-        trace.oracle_flops += obj.grad_flops
-        if cfg.grad_log_every and k % cfg.grad_log_every == 0:
-            epoch_grad = man.gradient_norm(x, g)
-        if cfg.feas_log_every and k % cfg.feas_log_every == 0:
-            epoch_feas = man.feasibility_residual(x)
-        u = man.riemannian_gradient(x, g)
-        x = man.full_retract(x, u, -eta_k)
+    def step(x, g, _l, eta, trace, _k, _s):
         trace.update_flops += man.rgd_flops()
-        if cfg.trace != "none":
-            fval = _check_finite(obj.value(x), k, 0, "objective")
-            wall = time.monotonic_ns() - t0 if cfg.log_wall else None
-            trace.records.append(IterationRecord(
-                k, 0, fval, epoch_grad, epoch_feas, trace.total_flops, wall))
-    return x, trace
+        return man.full_retract(x, man.riemannian_gradient(x, g), -eta)
+
+    return run_epochs(man, obj, x0, cfg, [None], step, fresh_oracle=False)
 
 
 def run_tsd(man: Manifold, obj: Objective, x0: np.ndarray, cfg: OptimizerConfig):
     """Column-wise Stiefel coordinate baseline (fresh gradient per step)."""
-    with np.errstate(over="ignore", invalid="ignore"):
-        return _run_tsd_inner(man, obj, x0, cfg)
-
-
-def _run_tsd_inner(man: Manifold, obj: Objective, x0: np.ndarray, cfg: OptimizerConfig):
     if man.family not in ("stiefel", "grassmann"):
         raise ValueError("the column-wise baseline runs on the Stiefel family")
-    man.check_shape(x0)
     n, p = man.ambient_shape
+
+    def step(x, g, l, eta, trace, _k, _s):
+        dflops, uflops = tsd_flop_parts(l, n, p)
+        trace.update_flops += dflops
+        if isinstance(l, Pair):
+            x, moved = tsd_pair_step(x, l.i, l.j, eta, g, inplace=True)
+        else:
+            x, moved = tsd_column_step(x, l.k, eta, g, inplace=True)
+        if moved != 0.0:
+            trace.update_flops += uflops
+        return x
+
+    labels = coordinate_basis(man, cfg.selection, tsd_enumerate(p))
+    return run_epochs(man, obj, x0, cfg, labels, step, fresh_oracle=True)
+
+
+def optimize(man: Manifold, obj: Objective, x0: np.ndarray, cfg: OptimizerConfig):
+    runner = {"rcd": run_rcd, "rcdlin": run_rcdlin, "rgd": run_rgd, "tsd": run_tsd}
+    return runner[cfg.algorithm](man, obj, x0, cfg)
+
+
+def run_epochs(man: Manifold, obj: Objective, x0: np.ndarray, cfg: OptimizerConfig,
+               labels: list, step, fresh_oracle: bool, carrier: bool = False):
+    """The epoch loop of every optimizer.  ``step(x, d, l, eta, trace, k, s)``
+    takes the step at label ``l``, charges its update flops and returns the
+    new point; ``d`` is the oracle's output, the derivative carrier with
+    ``carrier`` set and the Euclidean gradient otherwise.  The oracle runs
+    before every step when ``fresh_oracle`` is set, else once per epoch.
+    """
+    man.check_shape(x0)
     x = x0.copy()
-    rng = SplitMix64(cfg.seed)
-    basis = tsd_enumerate(p)
-    selector = Selector(cfg.selection, basis, rng)
-    n_inner = cfg.inner if cfg.inner is not None else len(basis)
+    selector = Selector(cfg.selection, labels, SplitMix64(cfg.seed))
+    n_inner = _inner_steps(cfg, labels)
     trace = Trace(eta_used=cfg.eta)
     t0 = time.monotonic_ns() if cfg.log_wall else None
-    for k in range(cfg.epochs):
-        eta_k = _eta_at(cfg, k)
-        selector.reset_epoch()
-        epoch_grad = None
-        epoch_feas = None
-        if cfg.grad_log_every and k % cfg.grad_log_every == 0:
-            g = obj.euclid_grad(x)
-            epoch_grad = man.gradient_norm(x, g)
-            trace.instrumentation_flops += obj.grad_flops
-        if cfg.feas_log_every and k % cfg.feas_log_every == 0:
-            epoch_feas = man.feasibility_residual(x)
-        for s in range(n_inner):
-            l = selector.pick(s)
-            g = obj.euclid_grad(x)
-            trace.oracle_calls += 1
-            trace.oracle_flops += obj.grad_flops
-            dflops, uflops = tsd_flop_parts(l, n, p)
-            trace.update_flops += dflops
-            if isinstance(l, Pair):
-                x, theta = tsd_pair_step(x, l.i, l.j, eta_k, g, inplace=True)
-                if theta != 0.0:
-                    trace.update_flops += uflops
-            else:
-                x, moved = tsd_column_step(x, l.k, eta_k, g, inplace=True)
-                if moved != 0.0:
-                    trace.update_flops += uflops
-            if cfg.trace == "step" or (cfg.trace == "epoch" and s == n_inner - 1):
-                fval = _check_finite(obj.value(x), k, s, "objective")
-                wall = time.monotonic_ns() - t0 if cfg.log_wall else None
-                trace.records.append(IterationRecord(
-                    k, s, fval,
-                    epoch_grad if s == 0 else None,
-                    epoch_feas if s == 0 else None,
-                    trace.total_flops, wall))
-                if cfg.trace == "epoch":
-                    trace.records[-1].grad_norm = epoch_grad
-                    trace.records[-1].feasibility = epoch_feas
+    oracle_flops = obj.grad_flops + (man.carrier_flops() if carrier else 0)
+    probe_bw = man.family == "spd_bures_wasserstein"
+    eta = cfg.eta
+    halvings = 0
+    k = 0
+    with np.errstate(over="ignore", invalid="ignore"):
+        while k < cfg.epochs:
+            eta_k = eta if cfg.eta_decay == 0.0 else eta / (1.0 + cfg.eta_decay * k)
+            selector.reset_epoch()
+            epoch_grad = None
+            epoch_feas = None
+            if cfg.grad_log_every and k % cfg.grad_log_every == 0:
+                epoch_grad = man.gradient_norm(x, obj.euclid_grad(x))
+                trace.instrumentation_flops += obj.grad_flops
+            if cfg.feas_log_every and k % cfg.feas_log_every == 0:
+                epoch_feas = man.feasibility_residual(x)
+            if (cfg.stop_grad_tol > 0.0
+                    and man.gradient_norm(x, obj.euclid_grad(x)) <= cfg.stop_grad_tol):
+                break
+            if probe_bw:
+                epoch_start = x.copy()
+                flops_mark = (trace.oracle_calls, trace.oracle_flops, trace.update_flops,
+                              len(trace.records))
+            try:
+                for s in range(n_inner):
+                    l = selector.pick(s)
+                    if fresh_oracle or s == 0:
+                        g = obj.euclid_grad(x)
+                        d = man.derivative_carrier(x, g) if carrier else g
+                        trace.oracle_calls += 1
+                        trace.oracle_flops += oracle_flops
+                    x = step(x, d, l, eta_k, trace, k, s)
+                    if cfg.trace == "step" or (cfg.trace == "epoch" and s == n_inner - 1):
+                        fval = _check_finite(obj.value(x), k, s, "objective")
+                        wall = time.monotonic_ns() - t0 if cfg.log_wall else None
+                        logs = s == 0 or cfg.trace == "epoch"
+                        trace.records.append(IterationRecord(
+                            k, s, fval,
+                            epoch_grad if logs else None,
+                            epoch_feas if logs else None,
+                            trace.total_flops, wall,
+                        ))
+                probe_failed = probe_bw and man.min_eigenvalue(x) <= 0.0
+            except OptimizeAbort:
+                # on the BW family a mid-epoch overflow counts as a failed
+                # definiteness probe (the stepsize is simply too large)
+                if not probe_bw:
+                    raise
+                probe_failed = True
+            if probe_failed:
+                if halvings >= 30:
+                    raise OptimizeAbort(k, 0, "definiteness probe after 30 stepsize halvings")
+                halvings += 1
+                eta *= 0.5
+                trace.eta_used = eta
+                x = epoch_start
+                trace.oracle_calls, trace.oracle_flops, trace.update_flops, nrec = flops_mark
+                del trace.records[nrec:]
+                continue
+            if cfg.renormalize_every and (k + 1) % cfg.renormalize_every == 0:
+                x = man.renormalize(x)
+            k += 1
     return x, trace
 
 
@@ -420,19 +376,19 @@ class FlopAuditReport:
 def flop_audit(trace: Trace, man: Manifold, cfg: OptimizerConfig) -> FlopAuditReport:
     """Decompose a trace's cost into oracle and update parts and check the
     oracle-call count: K*S for the per-step-gradient algorithms, K for the
-    anchored and full-gradient ones."""
-    if cfg.algorithm == "tsd":
-        n_inner = cfg.inner if cfg.inner is not None else len(tsd_enumerate(man.ambient_shape[1]))
+    anchored and full-gradient ones, with S from the labels the run sweeps."""
+    if cfg.algorithm == "rgd":
+        n_inner = 1
     else:
-        n_inner = cfg.inner if cfg.inner is not None else man.index_count()
-    if cfg.algorithm in ("rcd", "tsd"):
-        expected = cfg.epochs * n_inner
-    else:
-        expected = cfg.epochs
+        own = tsd_enumerate(man.ambient_shape[1]) if cfg.algorithm == "tsd" else None
+        n_inner = _inner_steps(cfg, coordinate_basis(man, cfg.selection, own))
+    # one oracle call per step, or per epoch that takes a step
+    per_epoch = n_inner if cfg.algorithm in ("rcd", "tsd") else min(n_inner, 1)
+    expected = cfg.epochs * per_epoch
     return FlopAuditReport(
         algorithm=cfg.algorithm,
         epochs=cfg.epochs,
-        inner=n_inner if cfg.algorithm != "rgd" else 1,
+        inner=n_inner,
         oracle_calls=trace.oracle_calls,
         expected_oracle_calls=expected,
         oracle_flops=trace.oracle_flops,

@@ -92,6 +92,8 @@ def make_pca(n: int, p: int, cond: float, seed: int):
     The reference subspace is the span of the top-p eigenvectors; progress is
     measured by the subspace distance to it.
     """
+    if n < 2:
+        raise ValueError("pca needs n >= 2: the spectrum spreads cond over n - 1 steps")
     rng = SplitMix64(seed)
     q, _ = thin_qr(rng.gaussian(n, n))
     lam = np.array([cond ** (-i / (n - 1)) for i in range(n)])

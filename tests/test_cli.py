@@ -209,3 +209,21 @@ def test_planted_run_reports_absolute_gap(capsys, tmp_path):
     assert code == 0
     out = capsys.readouterr().out
     assert "abs_gap=" in out  # planted reference is exactly zero, flagged
+
+
+@pytest.mark.parametrize("extra", [["--select", "random"], ["--inner", "3"]])
+def test_rgd_rejects_selection_and_inner(capsys, extra):
+    code = _run_cli(["run", "--problem", "procrustes", "--n", "5", "--p", "2",
+                     "--epochs", "3", "--algo", "rgd"] + extra)
+    assert code == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+
+
+def test_pca_needs_two_rows(capsys):
+    code = _run_cli(["run", "--problem", "pca", "--n", "1", "--p", "1",
+                     "--epochs", "2"])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert "Traceback" not in err

@@ -128,3 +128,28 @@ def test_unimplemented_configurations_rejected(algorithm, selection):
                           selection=selection, seed=1)
     with pytest.raises(ValueError):
         train(prob, cfg)
+
+
+@pytest.mark.parametrize("setting", [
+    {"inner": 3}, {"grad_log_every": 1}, {"feas_log_every": 1},
+    {"stop_grad_tol": 1e-3}, {"renormalize_every": 1},
+])
+def test_unhonoured_settings_rejected(setting):
+    prob = make_lorentz_embed(3, 6, 1)
+    cfg = OptimizerConfig(algorithm="rcdlin", epochs=1, eta=0.05,
+                          selection="time-cyclic", seed=1, **setting)
+    with pytest.raises(ValueError):
+        train(prob, cfg)
+
+
+def test_trace_none_and_wall_clock():
+    prob = make_lorentz_embed(3, 10, 3)
+    kw = dict(algorithm="rcdlin", epochs=4, eta=0.05, selection="time-cyclic", seed=3)
+    x_ref, ref = train(prob, OptimizerConfig(**kw))
+    x, trace = train(prob, OptimizerConfig(trace="none", **kw))
+    assert trace.records == [] and trace.oracle_calls == 4
+    assert np.array_equal(x, x_ref) and loss(prob, x) == ref.final_f()
+    _, timed = train(prob, OptimizerConfig(log_wall=True, **kw))
+    walls = [r.wall_ns for r in timed.records]
+    assert all(isinstance(w, int) for w in walls) and walls == sorted(walls)
+    assert [r.f for r in timed.records] == [r.f for r in ref.records]

@@ -11,6 +11,7 @@ from manifold_cd.optimize import (
     OptimizeAbort,
     OptimizerConfig,
     Selector,
+    coordinate_basis,
     flop_audit,
     run_rcd,
     run_rcdlin,
@@ -54,17 +55,22 @@ class TestSelection:
             assert sorted(picks) == sorted(basis)
 
     def test_time_cyclic_pairs(self):
-        sel = Selector("time-cyclic", [], SplitMix64(1), time_cyclic_rows=5)
+        man = make_manifold(ManifoldDescriptor("hyperbolic", (5, 1)))
+        basis = coordinate_basis(man, "time-cyclic")
+        assert basis == [Pair(0, 1), Pair(0, 2), Pair(0, 3), Pair(0, 4)]
+        assert coordinate_basis(man, "cyclic") == man.enumerate_basis()
+        sel = Selector("time-cyclic", basis, SplitMix64(1))
         picks = [sel.pick(s) for s in range(8)]
-        assert picks[:4] == [Pair(0, 1), Pair(0, 2), Pair(0, 3), Pair(0, 4)]
-        assert picks[4] == Pair(0, 1)
+        assert picks == basis + basis
 
     def test_time_cyclic_rejected_off_hyperbolic(self):
         man, obj, x0, _ = _pca_setup()
-        cfg = OptimizerConfig(algorithm="rcd", epochs=1, eta=0.1,
-                              selection="time-cyclic", seed=0)
-        with pytest.raises(ValueError):
-            run_rcd(man, obj, x0, cfg)
+        for algo, runner in (("rcd", run_rcd), ("rcdlin", run_rcdlin),
+                             ("rgd", run_rgd), ("tsd", run_tsd)):
+            cfg = OptimizerConfig(algorithm=algo, epochs=1, eta=0.1,
+                                  selection="time-cyclic", seed=0)
+            with pytest.raises(ValueError):
+                runner(man, obj, x0, cfg)
 
 
 class TestEngine:
@@ -144,6 +150,15 @@ class TestEngine:
         assert feas == [0, 3]
         # instrumentation is off the main ledger
         assert trace.instrumentation_flops == 3 * obj.grad_flops
+        # rgd logs through its own gradient call, also off the ledger
+        cfg = OptimizerConfig(algorithm="rgd", epochs=6, eta=0.2, seed=0,
+                              grad_log_every=2, feas_log_every=3)
+        _, trace = run_rgd(man, obj, x0, cfg)
+        assert [r.k for r in trace.records if r.grad_norm is not None] == [0, 2, 4]
+        assert [r.k for r in trace.records if r.feasibility is not None] == [0, 3]
+        assert trace.instrumentation_flops == 3 * obj.grad_flops
+        assert trace.oracle_calls == 6
+        assert trace.oracle_flops == 6 * obj.grad_flops
 
     def test_early_stop_on_gradient(self):
         man, obj, x0, ref = _pca_setup()
@@ -152,6 +167,12 @@ class TestEngine:
                               stop_grad_tol=1e-6)
         _, trace = run_rcdlin(man, obj, x0, cfg)
         assert trace.records[-1].k < 3999
+        # every optimizer checks the tolerance at each epoch start
+        for algo, runner in (("rgd", run_rgd), ("tsd", run_tsd)):
+            cfg = OptimizerConfig(algorithm=algo, epochs=50, eta=0.05, seed=0,
+                                  trace="epoch", stop_grad_tol=1e9)
+            _, trace = runner(man, obj, x0, cfg)
+            assert trace.records == [] and trace.oracle_calls == 0
 
 
 class TestEquivalences:
@@ -187,6 +208,16 @@ class TestFlopAudit:
             assert audit.oracle_calls == expected
             assert audit.ok
             assert "ok" in audit.summary()
+        # time-cyclic sweeps the n - 1 time pairs, not the whole basis
+        man = make_manifold(ManifoldDescriptor("hyperbolic", (5, 1)))
+        obj = Objective(value=lambda x: float(x[1, 0]),
+                        euclid_grad=lambda x: np.eye(5, 1, -1))
+        cfg = OptimizerConfig(algorithm="rcd", epochs=3, eta=0.1,
+                              selection="time-cyclic", seed=0)
+        _, trace = run_rcd(man, obj, man.random_point(SplitMix64(2)), cfg)
+        audit = flop_audit(trace, man, cfg)
+        assert trace.oracle_calls == 12
+        assert audit.ok and audit.inner == 4
 
     def test_stiefel_update_flops_linear_in_p(self):
         costs = {}
@@ -306,6 +337,14 @@ class TestRenormalization:
                               renormalize_every=2)
         x, _ = run_rcd(man, obj, x0, cfg)
         assert man.feasibility_residual(x) <= 1e-12
+        # every optimizer renormalizes on the cadence: one epoch with the
+        # cadence 1 ends at the projection of the plain epoch's end point
+        for algo, runner in (("rcd", run_rcd), ("rgd", run_rgd), ("tsd", run_tsd)):
+            kw = dict(algorithm=algo, epochs=1, eta=0.2, seed=2, trace="epoch")
+            plain, _ = runner(man, obj, x0, OptimizerConfig(**kw))
+            x, _ = runner(man, obj, x0, OptimizerConfig(renormalize_every=1, **kw))
+            assert not np.array_equal(x, plain)
+            assert np.array_equal(x, man.renormalize(plain))
 
     def test_family_renormalizers_project_back(self):
         from manifold_cd.rng import SplitMix64 as R

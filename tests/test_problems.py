@@ -192,13 +192,19 @@ class TestNearestSymplectic:
         man = make_manifold(spec.descriptor)
         x0 = initial_point(spec)
         cfg = OptimizerConfig(algorithm="rcd", epochs=15, eta=2.0**-7,
-                              selection="cyclic", seed=11, trace="epoch")
+                              selection="cyclic", seed=11, trace="epoch",
+                              grad_log_every=5)
         x, trace = run_symplectic_block_cd(spec, obj, x0, cfg)
         assert man.feasibility_residual(x) <= 1e-9
         fs = [r.f for r in trace.records]
         assert fs[-1] < obj.value(x0)
         costs = block_flops(6, 6)
         assert all(v > 0 for v in costs.values())
+        # one record per epoch at the last of the 3 blocks + 30 mixed pairs,
+        # gradient norms on the configured cadence, one oracle per step
+        assert [(r.k, r.s) for r in trace.records] == [(k, 32) for k in range(15)]
+        assert [r.k for r in trace.records if r.grad_norm is not None] == [0, 5, 10]
+        assert trace.oracle_calls == 15 * 33
 
 
 class TestWeightedLs:

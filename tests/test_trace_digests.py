@@ -1,0 +1,56 @@
+"""Byte-identical default traces: short CLI runs must hash to the recorded
+SHA-256s of their CSV traces (the trace-digest table in CHANGES.md), so a
+refactor or speedup of the engine cannot change a default trace unnoticed.
+
+The digests were recorded with Python 3.11.7 and numpy 2.4.6 on x86-64
+Linux.  A different numpy or BLAS may round differently and change them; a
+mismatch there says the environment differs, not necessarily the code.
+"""
+
+import contextlib
+import hashlib
+import io
+
+import pytest
+
+from manifold_cd.cli import main
+
+DESK = "procrustes-desk --epochs 20"
+
+RUNS = [
+    (f"{DESK} --algo rcd", "c0b97c823e53c488ce186c6a22cbefdce697d621550ff7f9c004eceae7fc83ab"),
+    (f"{DESK} --algo rcdlin", "c0b97c823e53c488ce186c6a22cbefdce697d621550ff7f9c004eceae7fc83ab"),
+    (f"{DESK} --algo rgd", "284ad9fffbd69b7d6ae0cb16ae07d097c8971f6298f7b284f0ac2c744d57757c"),
+    (f"{DESK} --algo tsd", "fabfc52cda81ac4c55785f1ed83dd75c80c8b530db9125a79c0cf7199b6bb208"),
+    (f"{DESK} --select random", "b9873ee4081741c3297306c5431bc07cc00cb5239299075621aa0064854b13a3"),
+    (f"{DESK} --select without-replacement",
+     "5e8ab4d0c324f19d2032afff9dde74a7b4b4766ef734a8b0512fd81b7bd75194"),
+    ("--problem ds-quadratic --n 6 --p 5 --algo rcd --select random --eta 0.2 "
+     "--epochs 50 --seed 3",
+     "68b3b1822c1da9671db5146ea1bf350471a76f74d4a34761334df844456772ab"),
+    ("--problem ds-quadratic --n 6 --p 5 --algo rcdlin --select without-replacement "
+     "--eta 0.2 --epochs 50 --seed 3",
+     "c46793a62ee52e91199644f8bc693dbd8dcb039ceb8fe1f108cade6a612bc70d"),
+    ("--problem weighted-ls --n 12 --p 3 --algo rgd --eta 0.2 --epochs 50 --seed 7",
+     "8ed641c4440816c513c4ab62036abe6f6dd342c9c8aaf507a125e0fa559f87db"),
+    ("--problem nearest-symplectic --planted --n 4 --p 3 --algo rcd --eta 0.02 "
+     "--epochs 30 --seed 9",
+     "43a8b09c065a4c2db5e6f477ddf434be2406baabea45eb79f646f056f71285ba"),
+    ("--problem pca --n 12 --p 4 --algo rcdlin --select without-replacement --eta 0.2 "
+     "--epochs 30 --seed 3 --grad-log 2 --feas-log 3",
+     "2f82381df08fe64408d7d9060eef167baa2f44c8938cd86bdbd0bc0a5e6bb8dc"),
+    ("lorentz-desk --trace step", "1b6c49299ab6a15c903d2859bcc6568ac83898df671099fbad7a0f622e2b4b51"),
+]
+
+
+@pytest.mark.parametrize("run, digest", RUNS, ids=[r for r, _ in RUNS])
+def test_trace_digest(run, digest, tmp_path):
+    args = run.split()
+    with contextlib.redirect_stdout(io.StringIO()):
+        if not args[0].startswith("--"):
+            cfg = str(tmp_path / "cfg.json")
+            assert main(["preset", args[0], "--out", cfg]) == 0
+            args = ["--config", cfg] + args[1:]
+        out = tmp_path / "trace.csv"
+        assert main(["run", *args, "--out", str(out)]) == 0
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
