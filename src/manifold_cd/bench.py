@@ -10,8 +10,6 @@ empty fields for unlogged optionals, UTF-8, LF line endings.
 from __future__ import annotations
 
 import math
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -34,6 +32,7 @@ from .optimize import (
 )
 from .problems import (
     ProblemSpec,
+    Reference,
     build_problem,
     initial_point,
     long_run_reference,
@@ -119,20 +118,14 @@ def run_experiment(
 ) -> ExperimentResult:
     if problem == "lorentz":
         prob = embeddings.make_lorentz_embed(n, p, seed)
+        spec = ProblemSpec("lorentz", None, seed, {"n_words": p})
+        obj, ref = embeddings.objective(prob), Reference(None, "none")
         x, trace = embeddings.train(prob, cfg)
-        final_f = trace.final_f() if trace.records else embeddings.loss(prob, x)
-        result = ExperimentResult(
-            ProblemSpec("lorentz", None, seed, {"n_words": p}),
-            trace, final_f, None, "none", None, False)
-        if out_path:
-            write_trace_csv(out_path, trace)
-            result.out_path = out_path
-        return result
-    spec, obj, ref = build_problem(problem, n, p, seed, cond=cond,
-                                   density=density, planted=planted)
-    man = make_manifold(spec.descriptor)
-    x0 = initial_point(spec)
-    x, trace = optimize(man, obj, x0, cfg)
+    else:
+        spec, obj, ref = build_problem(problem, n, p, seed, cond=cond,
+                                       density=density, planted=planted)
+        x0 = initial_point(spec)
+        x, trace = optimize(make_manifold(spec.descriptor), obj, x0, cfg)
     final_f = trace.final_f() if trace.records else obj.value(x)
     f_star = ref.value
     provenance = ref.provenance
@@ -168,9 +161,7 @@ def grid_search(
     """Run every stepsize in the grid and return (best eta, [(eta, final f)]).
 
     Diverged runs (non-finite objective, or a singular linear system in a
-    full-gradient projection) score +inf.  Grid points may run in
-    parallel when MANIFOLD_CD_THREADS > 1; results are deterministic either
-    way because each run owns its generator.
+    full-gradient projection) score +inf.
     """
 
     def one(eta: float) -> float:
@@ -186,13 +177,7 @@ def grid_search(
                 np.linalg.LinAlgError):
             return math.inf
 
-    workers = int(os.environ.get("MANIFOLD_CD_THREADS", "1"))
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            finals = list(pool.map(one, etas))
-    else:
-        finals = [one(e) for e in etas]
-    scored = list(zip(etas, finals))
+    scored = [(eta, one(eta)) for eta in etas]
     best_f = min(f for _, f in scored)
     # among statistically tied winners prefer the smallest stepsize (farthest
     # from the divergence cliff)

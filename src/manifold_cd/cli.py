@@ -10,8 +10,8 @@ Subcommands:
 
 Flags may also come from a flat JSON config file (``--config``); explicit
 command-line flags override file values, and unknown keys in the file are
-rejected.  ``MANIFOLD_CD_THREADS`` caps grid-level parallelism.  Exit codes:
-0 success, 1 runtime failure, 2 usage error.
+rejected, as are file values of the wrong type.  Exit codes: 0 success, 1
+runtime failure, 2 usage error.
 """
 
 from __future__ import annotations
@@ -23,7 +23,7 @@ import sys
 
 from .bench import grid_search, run_experiment
 from .flops import render_table
-from .optimize import OptimizerConfig
+from .optimize import TRACES, OptimizerConfig
 from .problems import PRESETS, PROBLEMS
 
 _RUN_KEYS = {
@@ -61,7 +61,7 @@ def _add_run_flags(sub):
     sub.add_argument("--feas-log", dest="feas_log", type=int)
     sub.add_argument("--wall", action="store_true", default=None)
     sub.add_argument("--planted", action="store_true", default=None)
-    sub.add_argument("--trace", choices=("step", "epoch", "none"))
+    sub.add_argument("--trace", choices=TRACES)
     sub.add_argument("--config", help="flat JSON file of these flags")
 
 
@@ -73,12 +73,28 @@ def _merge_config(args) -> dict:
         unknown = set(file_vals) - set(_RUN_KEYS) - {"grid"}
         if unknown:
             raise ValueError(f"unknown config keys: {sorted(unknown)}")
+        for key, val in file_vals.items():
+            _check_file_value(key, val)
         merged.update({k: v for k, v in file_vals.items() if k != "grid"})
     for key in _RUN_KEYS:
         val = getattr(args, key, None)
         if val is not None:
             merged[key] = val
     return merged
+
+
+def _check_file_value(key: str, val) -> None:
+    """A config-file value must have its flag's type: a bool is not an int,
+    an int is a valid float, and null stands only for a None default."""
+    want = _RUN_KEYS[key]
+    if val is None:
+        ok = key in _DEFAULTS and _DEFAULTS[key] is None
+    elif isinstance(val, bool):
+        ok = want is bool
+    else:
+        ok = isinstance(val, (int, float) if want is float else want)
+    if not ok:
+        raise ValueError(f"config key {key!r} must be {want.__name__}, got {val!r}")
 
 
 def _build_cfg(vals: dict) -> OptimizerConfig:
@@ -199,6 +215,9 @@ def main(argv=None) -> int:
         return args.func(args)
     except (ValueError, OSError, RuntimeError, FloatingPointError) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 1
+    except Exception as exc:  # an unexpected failure still ends as one line
+        print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 1
 
 

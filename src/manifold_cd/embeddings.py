@@ -9,9 +9,9 @@ softmax-over-negatives log-loss
 
 with d the hyperboloid distance arccosh(-<x_u, x_v>_L) and the candidate set
 of each softmax containing the related word v itself along with Neg(u), which
-keeps the loss bounded below by zero.  Training updates one word at a time
-with anchored-gradient coordinate steps (plane rotations, and the cosh/sinh
-rotation on pairs touching the time row), with a linearly decaying stepsize.
+keeps the loss bounded below by zero.  Training is anchored-gradient
+coordinate descent on the shared epoch loop: each sweep rotates every word at
+once (plane rotations, and cosh/sinh rotations on pairs touching the time row).
 
 The arccosh derivative 1/sqrt(z^2 - 1) blows up as z -> 1 (coincident
 points); pair contributions with z < 1 + GRAD_GUARD are dropped from the
@@ -21,16 +21,14 @@ gradient and their distance is treated as 0.
 from __future__ import annotations
 
 import math
-import time
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .flops import ZERO_DERIVATIVE_SKIP
-from .indices import Pair
-from .linalg import apply_rotation
-from .manifolds.hyperbolic import lift_to_hyperboloid
-from .optimize import IterationRecord, OptimizerConfig, Trace, _eta_at
+from .linalg import rotation_coefficients
+from .manifolds import Hyperbolic, Manifold, ManifoldDescriptor, lift_to_hyperboloid
+from .optimize import Objective, OptimizerConfig, coordinate_basis, run_epochs
 from .rng import SplitMix64
 
 GRAD_GUARD = 1e-8
@@ -150,66 +148,78 @@ def grad_flop_model(prob: HierarchyProblem) -> int:
     return pair_terms * (2 * n + 16 + 4 * n)
 
 
-def train(prob: HierarchyProblem, cfg: OptimizerConfig):
-    """Anchored-gradient coordinate descent over the product of hyperboloids.
+class HyperboloidColumns:
+    """W points of Hyperbolic(n, 1) as the columns of an n x W array: what the
+    epoch loop needs of a manifold, column by column from Hyperbolic(n, 1)'s
+    own methods (norms and residuals combine as a Frobenius norm)."""
 
-    Per epoch: one gradient oracle, then for every word the selected row
-    pairs are rotated in sequence (time-cyclic selection loops over the
-    pairs (0, 1) ... (0, n-1); cyclic over all row pairs), and one record
-    (k, 0) unless ``trace`` is "none"; ``log_wall`` adds the wall time.
-    Only this anchored algorithm (``rcdlin``) with those two selections is
-    implemented; any other configuration, and any inner count, log cadence,
-    early stop or renormalization cadence, raises ValueError.
-    """
+    family = "hyperbolic"
+    check_shape = Manifold.check_shape
+
+    def __init__(self, n_dim: int, n_words: int):
+        self.ambient_shape = (n_dim, n_words)
+        self.point = Hyperbolic(ManifoldDescriptor("hyperbolic", (n_dim, 1)))
+
+    def gradient_norm(self, x: np.ndarray, g: np.ndarray) -> float:
+        w = x.shape[1]
+        return math.hypot(*map(self.point.gradient_norm, np.hsplit(x, w), np.hsplit(g, w)))
+
+    def feasibility_residual(self, x: np.ndarray) -> float:
+        return math.hypot(*map(self.point.feasibility_residual, np.hsplit(x, x.shape[1])))
+
+    def renormalize(self, x: np.ndarray) -> np.ndarray:
+        return np.hstack([self.point.renormalize(c) for c in np.hsplit(x, x.shape[1])])
+
+
+def objective(prob: HierarchyProblem) -> Objective:
+    """The training loss and gradient, looked up in this module when called."""
+    return Objective(lambda x: loss(prob, x), lambda x: euclid_grad(prob, x),
+                     grad_flop_model(prob), name="lorentz")
+
+
+def _sweep(pairs: list):
+    """The engine step: one pass over the row pairs, rotating every word at
+    once.  Under the anchored gradient the words are independent columns, each
+    seeing a word-by-word sweep's operations in order.  A pair charges 4 flops
+    per word and 6 per moving word; an angle above 500 raises RuntimeError."""
+
+    def step(x, g, _l, eta, trace, k, _s):
+        overflow = np.zeros(x.shape[1], dtype=bool)
+        for i, j in pairs:
+            theta = g[0] * x[j] + g[j] * x[0] if i == 0 else g[i] * x[j] - g[j] * x[i]
+            angle = -eta * theta
+            moving = ~((np.abs(theta) < ZERO_DERIVATIVE_SKIP) | overflow)
+            overflow |= moving & (np.abs(angle) > 500.0)
+            m = np.flatnonzero(moving & ~overflow)
+            trace.update_flops += 4 * x.shape[1] + 6 * m.size
+            # math.cosh/sinh as in apply_rotation: np.cosh/np.sinh round differently
+            kind = "hyperbolic" if i == 0 else "circular"
+            c, s = np.reshape([rotation_coefficients(a, kind) for a in angle[m]], (-1, 2)).T
+            ri, rj = x[i, m], x[j, m]
+            x[i, m] = c * ri + s * rj
+            x[j, m] = s * ri + c * rj if i == 0 else c * rj - s * ri
+        if overflow.any():
+            raise RuntimeError(f"rotation angle overflow at epoch {k}, "
+                               f"word {np.flatnonzero(overflow)[0]}: reduce the stepsize")
+        return x
+
+    return step
+
+
+def train(prob: HierarchyProblem, cfg: OptimizerConfig):
+    """Anchored-gradient coordinate descent over the product of hyperboloids:
+    one ``run_epochs`` run, one oracle per epoch and ``inner`` (default 1)
+    sweeps through the selected row pairs (time-cyclic: (0, 1) ... (0, n-1);
+    cyclic: all pairs).  Every loop setting is honoured; only ``rcdlin`` with
+    those two selections is implemented, any other raises ValueError."""
     if cfg.algorithm != "rcdlin" or cfg.selection not in ("cyclic", "time-cyclic"):
         raise ValueError(
             "hyperbolic embedding training runs rcdlin with cyclic or time-cyclic "
             f"selection, not {cfg.algorithm} with {cfg.selection}")
-    unsupported = [f for f in ("inner", "grad_log_every", "feas_log_every",
-                               "stop_grad_tol", "renormalize_every") if getattr(cfg, f)]
-    if unsupported:
-        raise ValueError(f"lorentz training does not support {', '.join(unsupported)}")
-    t0 = time.monotonic_ns() if cfg.log_wall else None
-    x = initial_embedding(prob)
-    n = prob.n_dim
-    if cfg.selection == "time-cyclic":
-        pairs = [Pair(0, j) for j in range(1, n)]
-    else:
-        pairs = [Pair(i, j) for i in range(n) for j in range(i + 1, n)]
-    trace = Trace(eta_used=cfg.eta)
-    oracle_flops = grad_flop_model(prob)
-    for k in range(cfg.epochs):
-        eta_k = _eta_at(cfg, k)
-        g = euclid_grad(prob, x)
-        trace.oracle_calls += 1
-        trace.oracle_flops += oracle_flops
-        for u in range(prob.n_words):
-            col = x[:, u].copy().reshape(-1, 1)
-            gu = g[:, u]
-            for (i, j) in pairs:
-                if i == 0:
-                    theta = gu[0] * col[j, 0] + gu[j] * col[0, 0]
-                    kind = "hyperbolic"
-                else:
-                    theta = gu[i] * col[j, 0] - gu[j] * col[i, 0]
-                    kind = "circular"
-                trace.update_flops += 4
-                if abs(theta) < ZERO_DERIVATIVE_SKIP:
-                    continue
-                angle = -eta_k * theta
-                if abs(angle) > 500.0:
-                    raise RuntimeError(
-                        f"rotation angle overflow at epoch {k}, word {u}: "
-                        f"reduce the stepsize"
-                    )
-                apply_rotation(col, i, j, angle, "left", kind, inplace=True)
-                trace.update_flops += 6
-            x[:, u] = col.reshape(-1)
-        if cfg.trace != "none":
-            wall = time.monotonic_ns() - t0 if cfg.log_wall else None
-            trace.records.append(IterationRecord(
-                k, 0, loss(prob, x), None, None, trace.total_flops, wall))
-    return x, trace
+    points = HyperboloidColumns(prob.n_dim, prob.n_words)
+    return run_epochs(points, objective(prob), initial_embedding(prob), cfg, [None],
+                      _sweep(coordinate_basis(points.point, cfg.selection)),
+                      fresh_oracle=False)
 
 
 def edge_separation(prob: HierarchyProblem, x: np.ndarray) -> tuple[float, float]:

@@ -1,7 +1,7 @@
 """Coordinate-descent optimizers and full-gradient baselines.
 
-Every optimizer is one epoch loop (``run_epochs``) given the labels to sweep,
-a step function and the oracle cadence:
+Every optimizer, and the Lorentz trainer in ``embeddings``, is one epoch loop
+(``run_epochs``) given the labels to sweep, a step function and the oracle cadence:
 
 * ``rcd``     coordinate steps, the gradient refreshed before every step;
 * ``rcdlin``  the same steps with the gradient anchored at the epoch start
@@ -49,6 +49,7 @@ from .rng import SplitMix64
 
 ALGORITHMS = ("rcd", "rcdlin", "rgd", "tsd")
 SELECTIONS = ("cyclic", "random", "without-replacement", "time-cyclic")
+TRACES = ("step", "epoch", "none")
 
 
 class OptimizeAbort(RuntimeError):
@@ -95,6 +96,8 @@ class OptimizerConfig:
             raise ValueError(f"unknown algorithm {self.algorithm!r}")
         if self.selection not in SELECTIONS:
             raise ValueError(f"unknown selection {self.selection!r}")
+        if self.trace not in TRACES:
+            raise ValueError(f"unknown trace {self.trace!r}")
         if self.epochs < 1:
             raise ValueError("epochs must be >= 1")
         if self.inner is not None and self.inner < 1:
@@ -123,6 +126,7 @@ class Trace:
     instrumentation_flops: int = 0
     clamped_steps: int = 0
     eta_used: float = 0.0
+    epochs: int = 0  # epochs completed: fewer than K after an early stop
 
     @property
     def total_flops(self) -> int:
@@ -161,12 +165,6 @@ class Selector:
         epochs with S > |I| reshuffle again at each |I| block boundary."""
         self._perm = None
         self._pos = 0
-
-
-def _eta_at(cfg: OptimizerConfig, k: int) -> float:
-    if cfg.eta_decay == 0.0:
-        return cfg.eta
-    return cfg.eta / (1.0 + cfg.eta_decay * k)
 
 
 def _check_finite(v: float, k: int, s: int, what: str) -> float:
@@ -344,6 +342,7 @@ def run_epochs(man: Manifold, obj: Objective, x0: np.ndarray, cfg: OptimizerConf
             if cfg.renormalize_every and (k + 1) % cfg.renormalize_every == 0:
                 x = man.renormalize(x)
             k += 1
+    trace.epochs = k
     return x, trace
 
 
@@ -376,7 +375,8 @@ class FlopAuditReport:
 def flop_audit(trace: Trace, man: Manifold, cfg: OptimizerConfig) -> FlopAuditReport:
     """Decompose a trace's cost into oracle and update parts and check the
     oracle-call count: K*S for the per-step-gradient algorithms, K for the
-    anchored and full-gradient ones, with S from the labels the run sweeps."""
+    anchored and full-gradient ones, with K the epochs the run completed and
+    S from the labels the run sweeps."""
     if cfg.algorithm == "rgd":
         n_inner = 1
     else:
@@ -384,10 +384,10 @@ def flop_audit(trace: Trace, man: Manifold, cfg: OptimizerConfig) -> FlopAuditRe
         n_inner = _inner_steps(cfg, coordinate_basis(man, cfg.selection, own))
     # one oracle call per step, or per epoch that takes a step
     per_epoch = n_inner if cfg.algorithm in ("rcd", "tsd") else min(n_inner, 1)
-    expected = cfg.epochs * per_epoch
+    expected = trace.epochs * per_epoch
     return FlopAuditReport(
         algorithm=cfg.algorithm,
-        epochs=cfg.epochs,
+        epochs=trace.epochs,
         inner=n_inner,
         oracle_calls=trace.oracle_calls,
         expected_oracle_calls=expected,

@@ -94,6 +94,8 @@ def make_pca(n: int, p: int, cond: float, seed: int):
     """
     if n < 2:
         raise ValueError("pca needs n >= 2: the spectrum spreads cond over n - 1 steps")
+    if not cond >= 1.0:
+        raise ValueError(f"pca needs cond >= 1 (largest over smallest eigenvalue), got {cond}")
     rng = SplitMix64(seed)
     q, _ = thin_qr(rng.gaussian(n, n))
     lam = np.array([cond ** (-i / (n - 1)) for i in range(n)])

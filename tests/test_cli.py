@@ -8,6 +8,7 @@ import sys
 import numpy as np
 import pytest
 
+from manifold_cd import cli
 from manifold_cd.bench import (
     CSV_HEADER,
     read_trace_csv,
@@ -187,18 +188,6 @@ def test_grid_scores_singular_projection_as_diverged(capsys):
     assert "(diverged)" in captured.err
 
 
-def test_grid_parallelism_is_deterministic(monkeypatch):
-    from manifold_cd.bench import grid_search
-
-    cfg = OptimizerConfig(algorithm="rcd", epochs=15, eta=0.1,
-                          selection="cyclic", seed=2, trace="epoch")
-    best_serial, scored_serial = grid_search("procrustes", 8, 3, 2, cfg)
-    monkeypatch.setenv("MANIFOLD_CD_THREADS", "3")
-    best_par, scored_par = grid_search("procrustes", 8, 3, 2, cfg)
-    assert best_serial == best_par
-    assert scored_serial == scored_par
-
-
 def test_planted_run_reports_absolute_gap(capsys, tmp_path):
     path = str(tmp_path / "t.csv")
     code = _run_cli([
@@ -227,3 +216,40 @@ def test_pca_needs_two_rows(capsys):
     err = capsys.readouterr().err
     assert err.startswith("error: ") and err.count("\n") == 1
     assert "Traceback" not in err
+
+
+def _one_error_line(capsys):
+    err = capsys.readouterr().err
+    return err.startswith("error: ") and err.count("\n") == 1 and "Traceback" not in err
+
+
+@pytest.mark.parametrize("file_vals", [{"epochs": "5"}, {"n": 6.5, "p": 2, "epochs": 2},
+                                       {"wall": 1}, {"epochs": True}, {"eta": None}])
+def test_config_value_of_wrong_type_rejected(capsys, tmp_path, file_vals):
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps(file_vals))
+    assert _run_cli(["run", "--config", str(cfg_path)]) == 1
+    assert _one_error_line(capsys)
+
+
+def test_config_accepts_int_for_float_and_null_inner(tmp_path):
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps({"n": 6, "p": 2, "epochs": 2, "eta": 1, "inner": None}))
+    assert _run_cli(["run", "--config", str(cfg_path)]) == 0
+
+
+def test_unexpected_exception_is_one_error_line(capsys, monkeypatch):
+    def boom(*_args, **_kw):
+        raise KeyError("lost")
+
+    monkeypatch.setattr(cli, "run_experiment", boom)
+    assert _run_cli(["run", "--epochs", "1"]) == 1
+    assert _one_error_line(capsys)
+
+
+@pytest.mark.parametrize("cond", ["0", "-1", "0.5", "nan"])
+def test_pca_rejects_cond_below_one(capsys, cond):
+    code = _run_cli(["run", "--problem", "pca", "--n", "8", "--p", "2",
+                     "--cond", cond, "--epochs", "2"])
+    assert code == 1
+    assert _one_error_line(capsys)

@@ -6,6 +6,7 @@ import math
 import numpy as np
 import pytest
 
+from manifold_cd import embeddings
 from manifold_cd.embeddings import (
     edge_separation,
     euclid_grad,
@@ -15,7 +16,8 @@ from manifold_cd.embeddings import (
     make_lorentz_embed,
     train,
 )
-from manifold_cd.optimize import OptimizerConfig
+from manifold_cd.manifolds import ManifoldDescriptor, make_manifold
+from manifold_cd.optimize import OptimizeAbort, OptimizerConfig
 from manifold_cd.problems import PRESETS
 
 
@@ -130,15 +132,69 @@ def test_unimplemented_configurations_rejected(algorithm, selection):
         train(prob, cfg)
 
 
-@pytest.mark.parametrize("setting", [
-    {"inner": 3}, {"grad_log_every": 1}, {"feas_log_every": 1},
-    {"stop_grad_tol": 1e-3}, {"renormalize_every": 1},
-])
-def test_unhonoured_settings_rejected(setting):
-    prob = make_lorentz_embed(3, 6, 1)
-    cfg = OptimizerConfig(algorithm="rcdlin", epochs=1, eta=0.05,
-                          selection="time-cyclic", seed=1, **setting)
-    with pytest.raises(ValueError):
+def _desk(**kw):
+    preset = PRESETS["lorentz-desk"]
+    prob = make_lorentz_embed(preset["n"], preset["p"], preset["seed"])
+    args = dict(algorithm="rcdlin", epochs=preset["epochs"], eta=preset["eta"],
+                eta_decay=preset["eta_decay"], selection="time-cyclic",
+                seed=preset["seed"])
+    return prob, OptimizerConfig(**{**args, **kw})
+
+
+def test_grad_log_cadence():
+    prob, cfg = _desk(epochs=7, grad_log_every=2)
+    _, trace = train(prob, cfg)
+    assert [(r.k, r.s) for r in trace.records] == [(k, 0) for k in range(7)]
+    assert [r.grad_norm is not None for r in trace.records] == [k % 2 == 0 for k in range(7)]
+    assert all(r.feasibility is None for r in trace.records)
+    # epoch 0 logs the product norm of the per-word Riemannian gradients
+    x0 = initial_embedding(prob)
+    word = make_manifold(ManifoldDescriptor("hyperbolic", (prob.n_dim, 1)))
+    g = euclid_grad(prob, x0)
+    norms = [word.gradient_norm(x0[:, [u]], g[:, [u]]) for u in range(prob.n_words)]
+    assert trace.records[0].grad_norm == pytest.approx(math.sqrt(sum(v * v for v in norms)))
+    assert trace.oracle_calls == 7
+
+
+def test_feas_log_cadence():
+    prob, cfg = _desk(epochs=7, feas_log_every=3)
+    _, trace = train(prob, cfg)
+    assert [(r.k, r.s) for r in trace.records] == [(k, 0) for k in range(7)]
+    assert [r.feasibility is not None for r in trace.records] == [k % 3 == 0 for k in range(7)]
+    assert all(r.grad_norm is None for r in trace.records)
+    assert trace.records[3].feasibility <= 1e-12
+    assert trace.oracle_calls == 7
+
+
+def test_stop_grad_tol_stops_at_first_check():
+    prob, cfg = _desk(stop_grad_tol=1e6)
+    x, trace = train(prob, cfg)
+    assert trace.records == [] and trace.oracle_calls == 0 and trace.epochs == 0
+    assert np.array_equal(x, initial_embedding(prob))
+
+
+def test_renormalization_keeps_columns_feasible():
+    prob, cfg = _desk(renormalize_every=1)
+    x, trace = train(prob, cfg)
+    x_plain, _ = train(prob, _desk()[1])
+    assert not np.array_equal(x, x_plain)
+    assert _column_feasibility(x) <= 1e-12
+    assert trace.final_f() == pytest.approx(loss(prob, x_plain), rel=1e-6)
+
+
+def test_inner_sweeps_share_one_oracle_call():
+    prob, cfg = _desk(epochs=4, inner=3, trace="epoch")
+    _, trace = train(prob, cfg)
+    assert [(r.k, r.s) for r in trace.records] == [(k, 2) for k in range(4)]
+    assert trace.oracle_calls == 4
+    _, single = train(prob, _desk(epochs=4, trace="epoch")[1])
+    assert trace.update_flops == 3 * single.update_flops
+
+
+def test_non_finite_loss_aborts(monkeypatch):
+    monkeypatch.setattr(embeddings, "loss", lambda prob, x: math.nan)
+    prob, cfg = _desk(epochs=2)
+    with pytest.raises(OptimizeAbort):
         train(prob, cfg)
 
 

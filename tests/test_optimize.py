@@ -219,6 +219,17 @@ class TestFlopAudit:
         assert trace.oracle_calls == 12
         assert audit.ok and audit.inner == 4
 
+    def test_early_stop_audits_completed_epochs(self):
+        # the tolerance ends the run after 214 of 4000 epochs
+        man, obj, x0, _ = _pca_setup()
+        cfg = OptimizerConfig(algorithm="rcdlin", epochs=4000, eta=0.2, seed=5,
+                              stop_grad_tol=1e-6, trace="none")
+        _, trace = run_rcdlin(man, obj, x0, cfg)
+        audit = flop_audit(trace, man, cfg)
+        assert trace.epochs == trace.oracle_calls == 214
+        assert audit.ok and audit.expected_oracle_calls == 214
+        assert audit.summary().startswith("rcdlin: K=214 ")
+
     def test_stiefel_update_flops_linear_in_p(self):
         costs = {}
         for p in (8, 16, 32):
@@ -327,6 +338,8 @@ class TestConfigValidation:
             OptimizerConfig(selection="sometimes")
         with pytest.raises(ValueError):
             OptimizerConfig(inner=0)
+        with pytest.raises(ValueError):
+            OptimizerConfig(trace="epochs")
 
 
 class TestRenormalization:

@@ -40,6 +40,10 @@ RUNS = [
      "--epochs 30 --seed 3 --grad-log 2 --feas-log 3",
      "2f82381df08fe64408d7d9060eef167baa2f44c8938cd86bdbd0bc0a5e6bb8dc"),
     ("lorentz-desk --trace step", "1b6c49299ab6a15c903d2859bcc6568ac83898df671099fbad7a0f622e2b4b51"),
+    ("lorentz-desk --select cyclic",
+     "d7b81ac67e417bbd73e82725a919bff827f35b8272cce34edb3d2b111763c924"),
+    ("lorentz-desk --trace epoch --n 5 --p 60 --seed 3",
+     "89ea0231256fecd428d73556a9bc82e5c3e511dc51f7398d1ce74bdb7917f382"),
 ]
 
 
