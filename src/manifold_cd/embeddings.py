@@ -15,7 +15,14 @@ once (plane rotations, and cosh/sinh rotations on pairs touching the time row).
 
 The arccosh derivative 1/sqrt(z^2 - 1) blows up as z -> 1 (coincident
 points); pair contributions with z < 1 + GRAD_GUARD are dropped from the
-gradient and their distance is treated as 0.
+gradient and their distance is treated as 0 below z = 1 + 1e-12.
+
+The oracle is vectorized over a pair table built once per problem: one
+gather and one batched Minkowski product for every (edge, candidate) term,
+one ordered np.add.at scatter for the gradient.  Its transcendentals
+(acosh, exp, log) and softmax sums stay scalar Python on purpose: numpy's
+versions round differently, and the loss and gradient are bitwise equal to
+the per-pair loop they replace, so traces do not change.
 """
 
 from __future__ import annotations
@@ -26,7 +33,6 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .flops import ZERO_DERIVATIVE_SKIP
-from .linalg import rotation_coefficients
 from .manifolds import Hyperbolic, Manifold, ManifoldDescriptor, lift_to_hyperboloid
 from .optimize import Objective, OptimizerConfig, coordinate_basis, run_epochs
 from .rng import SplitMix64
@@ -41,6 +47,7 @@ class HierarchyProblem:
     seed: int
     edges: list[tuple[int, int]]                 # (child, parent)
     negatives: dict[int, list[int]] = field(default_factory=dict)
+    pair_table: tuple | None = field(default=None, init=False, repr=False, compare=False)
 
 
 def make_lorentz_embed(n_dim: int, n_words: int, seed: int,
@@ -48,6 +55,8 @@ def make_lorentz_embed(n_dim: int, n_words: int, seed: int,
     """Seeded random tree over n_words nodes plus per-word negative samples."""
     if n_dim < 2:
         raise ValueError("need n_dim >= 2")
+    if n_words < 2:
+        raise ValueError("need n_words >= 2: a hierarchy needs at least one edge")
     rng = SplitMix64(seed)
     parent = [0] * n_words
     edges = []
@@ -82,61 +91,83 @@ def initial_embedding(prob: HierarchyProblem) -> np.ndarray:
     return x
 
 
-def _lorentz_inner(a: np.ndarray, b: np.ndarray) -> float:
-    return float(-a[0] * b[0] + np.dot(a[1:], b[1:]))
-
-
 def hyperbolic_distance(a: np.ndarray, b: np.ndarray) -> float:
-    z = -_lorentz_inner(a, b)
+    z = -float(-a[0] * b[0] + np.dot(a[1:], b[1:]))
     if z < 1.0 + 1e-12:
         return 0.0
     return math.acosh(z)
 
 
-def _dist_and_grad(a: np.ndarray, b: np.ndarray):
-    """Distance and its ambient gradient in the first argument (guarded)."""
-    z = -_lorentz_inner(a, b)
-    if z < 1.0 + GRAD_GUARD:
-        return (0.0 if z < 1.0 + 1e-12 else math.acosh(max(z, 1.0))), None
-    jb = b.copy()
-    jb[0] = -jb[0]
-    return math.acosh(z), -jb / math.sqrt(z * z - 1.0)
+def _pair_table(prob: HierarchyProblem):
+    """(us, cs, sizes): the u and candidate index of every pair term in loss
+    order (each edge (u, v): v, then Neg(u)) and each edge's candidate count.
+    Built on first use and cached on the problem."""
+    if prob.pair_table is None:
+        sizes = [1 + len(prob.negatives[u]) for u, _ in prob.edges]
+        us = [u for (u, _), k in zip(prob.edges, sizes) for _ in range(k)]
+        cs = [c for u, v in prob.edges for c in [v] + prob.negatives[u]]
+        prob.pair_table = (np.array(us), np.array(cs), sizes)
+    return prob.pair_table
+
+
+def _pair_products(x: np.ndarray, us: np.ndarray, cs: np.ndarray):
+    """(z, xu, xc): z = -<x_u, x_c>_L for every pair term, with the gathered
+    columns.  The spatial dot is a batched matmul over the transposed rows
+    of C-order gathers, whose inner stride is not 1: that rounds as np.dot on
+    the strided columns x[1:, u] does, while einsum or a contiguous gather do
+    not.  Verified bitwise with numpy 2.4.6; numpy 1.x is unchecked."""
+    xu = np.ascontiguousarray(x[:, us])
+    xc = np.ascontiguousarray(x[:, cs])
+    d = (xu[1:].T[:, None, :] @ xc[1:].T[:, :, None])[:, 0, 0]
+    return -(-xu[0] * xc[0] + d), xu, xc
+
+
+def _distances(z: np.ndarray) -> list[float]:
+    # math.acosh: np.arccosh rounds differently
+    return [0.0 if zi < 1.0 + 1e-12 else math.acosh(zi) for zi in z.tolist()]
 
 
 def loss(prob: HierarchyProblem, x: np.ndarray) -> float:
+    us, cs, sizes = _pair_table(prob)
+    dist = _distances(_pair_products(x, us, cs)[0])
+    e = [math.exp(-d) for d in dist]
     total = 0.0
-    for u, v in prob.edges:
-        d_uv = hyperbolic_distance(x[:, u], x[:, v])
-        acc = math.exp(-d_uv)
-        for w in prob.negatives[u]:
-            acc += math.exp(-hyperbolic_distance(x[:, u], x[:, w]))
-        total += d_uv + math.log(acc)
+    lo = 0
+    for k in sizes:
+        acc = e[lo]
+        for i in range(lo + 1, lo + k):
+            acc += e[i]
+        total += dist[lo] + math.log(acc)
+        lo += k
     return total
 
 
 def euclid_grad(prob: HierarchyProblem, x: np.ndarray) -> np.ndarray:
-    """Ambient gradient of the loss in every word simultaneously."""
+    """Ambient gradient of the loss in every word simultaneously.  Each pair
+    term past the guard adds weight * -J x_c / sqrt(z^2 - 1) to word u and the
+    mirrored term to the candidate, scattered in pair order."""
+    us, cs, sizes = _pair_table(prob)
+    z, xu, xc = _pair_products(x, us, cs)
+    weights = [math.exp(-d) for d in _distances(z)]
+    coef = []
+    lo = 0
+    for k in sizes:
+        denom = sum(weights[lo:lo + k])
+        coef.append(1.0 - weights[lo] / denom)
+        coef += [-wt / denom for wt in weights[lo + 1:lo + k]]
+        lo += k
+    keep = ~(z < 1.0 + GRAD_GUARD)
+    z, w = z[keep], np.array(coef)[keep]
+    ju, jc = xu[:, keep], xc[:, keep]  # J x: the time row negated
+    ju[0], jc[0] = -ju[0], -jc[0]
+    root = np.sqrt(z * z - 1.0)
+    vals = np.empty((x.shape[0], 2 * z.size))
+    vals[:, 0::2] = w * (-jc / root)
+    vals[:, 1::2] = w * (-ju / root)
+    idx = np.empty(2 * z.size, dtype=np.intp)
+    idx[0::2], idx[1::2] = us[keep], cs[keep]
     g = np.zeros_like(x)
-
-    def add_pair(u, v, weight):
-        _, du = _dist_and_grad(x[:, u], x[:, v])
-        if du is not None:
-            g[:, u] += weight * du
-            _, dv = _dist_and_grad(x[:, v], x[:, u])
-            g[:, v] += weight * dv
-
-    for u, v in prob.edges:
-        d_uv = hyperbolic_distance(x[:, u], x[:, v])
-        candidates = [v] + prob.negatives[u]
-        weights = [math.exp(-d_uv)]
-        weights += [
-            math.exp(-hyperbolic_distance(x[:, u], x[:, w]))
-            for w in prob.negatives[u]
-        ]
-        denom = sum(weights)
-        add_pair(u, v, 1.0 - weights[0] / denom)
-        for w, wt in zip(candidates[1:], weights[1:]):
-            add_pair(u, w, -wt / denom)
+    np.add.at(g.T, idx, vals.T)
     return g
 
 
@@ -193,8 +224,9 @@ def _sweep(pairs: list):
             m = np.flatnonzero(moving & ~overflow)
             trace.update_flops += 4 * x.shape[1] + 6 * m.size
             # math.cosh/sinh as in apply_rotation: np.cosh/np.sinh round differently
-            kind = "hyperbolic" if i == 0 else "circular"
-            c, s = np.reshape([rotation_coefficients(a, kind) for a in angle[m]], (-1, 2)).T
+            cos, sin = (math.cosh, math.sinh) if i == 0 else (math.cos, math.sin)
+            am = angle[m].tolist()
+            c, s = np.array(list(map(cos, am))), np.array(list(map(sin, am)))
             ri, rj = x[i, m], x[j, m]
             x[i, m] = c * ri + s * rj
             x[j, m] = s * ri + c * rj if i == 0 else c * rj - s * ri

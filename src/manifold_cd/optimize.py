@@ -102,8 +102,15 @@ class OptimizerConfig:
             raise ValueError("epochs must be >= 1")
         if self.inner is not None and self.inner < 1:
             raise ValueError("inner must be >= 1")
-        if self.eta <= 0.0:
-            raise ValueError("eta must be positive")
+        if not (math.isfinite(self.eta) and self.eta > 0.0):
+            raise ValueError("eta must be finite and positive")
+        if not (math.isfinite(self.eta_decay) and self.eta_decay >= 0.0):
+            raise ValueError("eta_decay must be finite and >= 0")
+        for name in ("grad_log_every", "feas_log_every", "renormalize_every"):
+            if getattr(self, name) < 0:
+                raise ValueError(f"{name} must be >= 0")
+        if not (math.isfinite(self.stop_grad_tol) and self.stop_grad_tol >= 0.0):
+            raise ValueError("stop_grad_tol must be finite and >= 0")
 
 
 @dataclass

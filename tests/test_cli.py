@@ -253,3 +253,21 @@ def test_pca_rejects_cond_below_one(capsys, cond):
                      "--cond", cond, "--epochs", "2"])
     assert code == 1
     assert _one_error_line(capsys)
+
+
+@pytest.mark.parametrize("extra", [["--eta-decay", "-1"], ["--eta-decay", "-0.6"],
+                                   ["--grad-log", "-1"], ["--feas-log", "-1"],
+                                   ["--eta", "nan"], ["--eta", "inf"]])
+def test_out_of_range_schedule_and_cadence_rejected(capsys, extra):
+    code = _run_cli(["run", "--problem", "procrustes", "--n", "6", "--p", "2",
+                     "--epochs", "3"] + extra)
+    assert code == 1
+    assert _one_error_line(capsys)
+
+
+@pytest.mark.parametrize("words", ["0", "1"])
+def test_lorentz_needs_two_words(capsys, words):
+    code = _run_cli(["run", "--problem", "lorentz", "--n", "3", "--p", words,
+                     "--algo", "rcdlin", "--select", "time-cyclic", "--epochs", "2"])
+    assert code == 1
+    assert _one_error_line(capsys)

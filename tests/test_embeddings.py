@@ -8,6 +8,7 @@ import pytest
 
 from manifold_cd import embeddings
 from manifold_cd.embeddings import (
+    GRAD_GUARD,
     edge_separation,
     euclid_grad,
     hyperbolic_distance,
@@ -16,7 +17,7 @@ from manifold_cd.embeddings import (
     make_lorentz_embed,
     train,
 )
-from manifold_cd.manifolds import ManifoldDescriptor, make_manifold
+from manifold_cd.manifolds import ManifoldDescriptor, lift_to_hyperboloid, make_manifold
 from manifold_cd.optimize import OptimizeAbort, OptimizerConfig
 from manifold_cd.problems import PRESETS
 
@@ -27,6 +28,97 @@ def _column_feasibility(x):
         col = x[:, u]
         errs.append(abs(col[0] ** 2 - np.dot(col[1:], col[1:]) - 1.0))
     return max(errs)
+
+
+# The scalar per-pair oracle the vectorized one replaced: the bitwise reference.
+
+def _lorentz_inner(a, b):
+    return float(-a[0] * b[0] + np.dot(a[1:], b[1:]))
+
+
+def _dist_and_grad(a, b):
+    z = -_lorentz_inner(a, b)
+    if z < 1.0 + GRAD_GUARD:
+        return (0.0 if z < 1.0 + 1e-12 else math.acosh(max(z, 1.0))), None
+    jb = b.copy()
+    jb[0] = -jb[0]
+    return math.acosh(z), -jb / math.sqrt(z * z - 1.0)
+
+
+def _reference_loss(prob, x):
+    total = 0.0
+    for u, v in prob.edges:
+        d_uv = hyperbolic_distance(x[:, u], x[:, v])
+        acc = math.exp(-d_uv)
+        for w in prob.negatives[u]:
+            acc += math.exp(-hyperbolic_distance(x[:, u], x[:, w]))
+        total += d_uv + math.log(acc)
+    return total
+
+
+def _reference_grad(prob, x):
+    g = np.zeros_like(x)
+
+    def add_pair(u, v, weight):
+        _, du = _dist_and_grad(x[:, u], x[:, v])
+        if du is not None:
+            g[:, u] += weight * du
+            _, dv = _dist_and_grad(x[:, v], x[:, u])
+            g[:, v] += weight * dv
+
+    for u, v in prob.edges:
+        weights = [math.exp(-hyperbolic_distance(x[:, u], x[:, w]))
+                   for w in [v] + prob.negatives[u]]
+        denom = sum(weights)
+        add_pair(u, v, 1.0 - weights[0] / denom)
+        for w, wt in zip(prob.negatives[u], weights[1:]):
+            add_pair(u, w, -wt / denom)
+    return g
+
+
+def _test_points(prob, seed):
+    """The initial embedding; far-apart lifted points; and points where some
+    edge endpoints coincide and others sit about 1e-5 apart (both guards)."""
+    rng = np.random.default_rng(seed)
+    n, w = prob.n_dim, prob.n_words
+    far = 2.0 * rng.standard_normal((n, w))
+    near = 0.1 * rng.standard_normal((n, w))
+    far[0] = near[0] = 0.0
+    for c, parent in prob.edges:
+        kind = rng.integers(3)
+        if kind == 0:
+            near[:, c] = near[:, parent]
+        elif kind == 1:
+            step = rng.standard_normal(n)
+            step[0] = 0.0
+            near[:, c] = near[:, parent] + 1e-5 * step / np.linalg.norm(step)
+
+    def lift(v):
+        return np.hstack([lift_to_hyperboloid(v[:, [u]]) for u in range(w)])
+
+    return initial_embedding(prob), lift(far), lift(near)
+
+
+@pytest.mark.parametrize("n_dim", [2, 3, 5, 8])
+def test_oracle_bitwise_equal_to_scalar_reference(n_dim):
+    banded = guarded = 0
+    for n_words in (2, 30, 200):
+        for seed in (0, 1, 2):
+            prob = make_lorentz_embed(n_dim, n_words, 11 * seed + n_dim)
+            for x in _test_points(prob, seed):
+                assert loss(prob, x) == _reference_loss(prob, x)
+                assert np.array_equal(euclid_grad(prob, x), _reference_grad(prob, x))
+                for u, v in prob.edges:
+                    z = -_lorentz_inner(x[:, u], x[:, v])
+                    guarded += z < 1.0 + 1e-12
+                    banded += 1.0 + 1e-12 <= z < 1.0 + GRAD_GUARD
+    assert guarded > 0 and banded > 0
+
+
+def test_fewer_than_two_words_rejected():
+    for n_words in (0, 1):
+        with pytest.raises(ValueError):
+            make_lorentz_embed(3, n_words, 0)
 
 
 def test_tree_structure_and_negatives():

@@ -1,6 +1,8 @@
 """Optimizer engine: selection rules, determinism, flop audit, trace
 semantics, abort policy, and the baselines."""
 
+import math
+
 import numpy as np
 import pytest
 
@@ -340,6 +342,17 @@ class TestConfigValidation:
             OptimizerConfig(inner=0)
         with pytest.raises(ValueError):
             OptimizerConfig(trace="epochs")
+
+    @pytest.mark.parametrize("field, value", [
+        ("eta", 0.0), ("eta", math.nan), ("eta", math.inf),
+        ("eta_decay", -1.0), ("eta_decay", -0.6), ("eta_decay", math.nan),
+        ("eta_decay", math.inf), ("grad_log_every", -1), ("feas_log_every", -1),
+        ("renormalize_every", -1), ("stop_grad_tol", -1e-3), ("stop_grad_tol", math.nan),
+        ("stop_grad_tol", math.inf),
+    ])
+    def test_out_of_range_values(self, field, value):
+        with pytest.raises(ValueError):
+            OptimizerConfig(**{field: value})
 
 
 class TestRenormalization:

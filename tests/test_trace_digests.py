@@ -44,6 +44,12 @@ RUNS = [
      "d7b81ac67e417bbd73e82725a919bff827f35b8272cce34edb3d2b111763c924"),
     ("lorentz-desk --trace epoch --n 5 --p 60 --seed 3",
      "89ea0231256fecd428d73556a9bc82e5c3e511dc51f7398d1ce74bdb7917f382"),
+    ("lorentz-desk --trace epoch --n 8 --p 60 --seed 5",
+     "2d38c77aee64f64fa238b9434f8b8b03f4ca5c37532bb785812d7535e98edbaa"),
+    ("lorentz-desk --trace epoch --n 2 --p 40 --seed 1",
+     "1ae562de08b109164454df0e3a410e9c3ef007afef240010acd405817f21b828"),
+    ("lorentz-desk --trace epoch --n 4 --p 50 --seed 2 --grad-log 2 --feas-log 3",
+     "e941bea58ccd4b80312641418e01d0b709f0b4fdad6443aa6edc0896a1878fef"),
 ]
 
 
