@@ -42,6 +42,23 @@ from .problems import (
 
 CSV_HEADER = "k,s,f,grad_norm,feasibility,flops,wall_ns"
 
+# problem flags read by one problem only: flag -> (that problem, default)
+PROBLEM_FLAGS = {
+    "cond": ("pca", 1e3),
+    "density": ("weighted-ls", 1.0),
+    "planted": ("nearest-symplectic", False),
+}
+
+
+def check_problem_flags(problem: str, **flags) -> None:
+    """Reject a problem flag set away from its default on a problem that
+    does not read it, rather than ignore it silently."""
+    for name, val in flags.items():
+        owner, default = PROBLEM_FLAGS[name]
+        if problem != owner and val != default:
+            raise ValueError(f"--{name} applies only to --problem {owner}, "
+                             f"not {problem}")
+
 
 @dataclass
 class ExperimentResult:
@@ -116,6 +133,7 @@ def run_experiment(
     out_path: str | None = None,
     resolve_reference: bool = True,
 ) -> ExperimentResult:
+    check_problem_flags(problem, cond=cond, density=density, planted=planted)
     if problem == "lorentz":
         prob = embeddings.make_lorentz_embed(n, p, seed)
         spec = ProblemSpec("lorentz", None, seed, {"n_words": p})
@@ -157,6 +175,7 @@ def grid_search(
     etas=GRID_DEFAULT,
     cond: float = 1e3,
     density: float = 1.0,
+    planted: bool = False,
 ) -> tuple[float, list[tuple[float, float]]]:
     """Run every stepsize in the grid and return (best eta, [(eta, final f)]).
 
@@ -171,7 +190,8 @@ def grid_search(
             seed=cfg.seed, trace="epoch")
         try:
             res = run_experiment(problem, n, p, seed, sub, cond=cond,
-                                 density=density, resolve_reference=False)
+                                 density=density, planted=planted,
+                                 resolve_reference=False)
             return res.final_f
         except (RuntimeError, FloatingPointError, OverflowError,
                 np.linalg.LinAlgError):

@@ -130,7 +130,7 @@ def _cmd_grid(args) -> int:
     cfg = _build_cfg(vals)
     best, scored = grid_search(
         vals["problem"], vals["n"], vals["p"], vals["seed"], cfg,
-        cond=vals["cond"], density=vals["density"],
+        cond=vals["cond"], density=vals["density"], planted=vals["planted"],
     )
     for eta, f in scored:
         tag = " (diverged)" if math.isinf(f) else ""

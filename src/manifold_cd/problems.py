@@ -181,10 +181,10 @@ def make_weighted_ls(n: int, p: int, density: float, seed: int):
         mask = np.ones((n, n))
     else:
         mask = np.zeros((n, n))
-        for i in range(n):
-            for j in range(i, n):
-                mask[i, j] = 1.0 if rng.uniform() < density else 0.0
-                mask[j, i] = mask[i, j]
+        i, j = np.triu_indices(n)  # row-major: (0, 0), (0, 1), ..., (n-1, n-1)
+        keep = rng.uniform_vector(i.size) < density
+        mask[i, j] = keep
+        mask[j, i] = keep
     desc = ManifoldDescriptor("spsd_factored", (n, p))
     spec = ProblemSpec("weighted-ls", desc, seed,
                        {"density": density, "x_star": x_star, "mask": mask})

@@ -11,12 +11,16 @@ import pytest
 from manifold_cd import cli
 from manifold_cd.bench import (
     CSV_HEADER,
+    PROBLEM_FLAGS,
+    check_problem_flags,
+    grid_search,
     read_trace_csv,
     run_experiment,
     write_trace_csv,
 )
 from manifold_cd.cli import main
 from manifold_cd.optimize import OptimizerConfig
+from manifold_cd.problems import PRESETS
 
 
 def _run_cli(args):
@@ -271,3 +275,29 @@ def test_lorentz_needs_two_words(capsys, words):
                      "--algo", "rcdlin", "--select", "time-cyclic", "--epochs", "2"])
     assert code == 1
     assert _one_error_line(capsys)
+
+
+@pytest.mark.parametrize("cmd, extra", [
+    ("run", ["--problem", "lorentz", "--n", "3", "--p", "8", "--algo", "rcdlin",
+             "--planted", "--cond", "0", "--density", "7", "--trace", "none"]),
+    ("run", ["--problem", "procrustes", "--n", "6", "--p", "2", "--cond", "10"]),
+    ("run", ["--problem", "pca", "--n", "6", "--p", "2", "--density", "0.5"]),
+    ("run", ["--problem", "weighted-ls", "--n", "6", "--p", "2", "--planted"]),
+    ("grid", ["--problem", "procrustes", "--n", "6", "--p", "2", "--planted"]),
+])
+def test_flag_the_problem_does_not_read_is_rejected(capsys, cmd, extra):
+    assert _run_cli([cmd, *extra, "--epochs", "2"]) == 1
+    assert _one_error_line(capsys)
+
+
+@pytest.mark.parametrize("name", sorted(PRESETS))
+def test_no_preset_sets_a_flag_its_problem_ignores(name):
+    vals = PRESETS[name]
+    check_problem_flags(vals["problem"], **{k: vals[k] for k in PROBLEM_FLAGS if k in vals})
+
+
+def test_grid_honours_planted():
+    cfg = OptimizerConfig(algorithm="rcd", epochs=5, eta=0.02, seed=9)
+    scores = [grid_search("nearest-symplectic", 4, 3, 9, cfg, etas=(0.02,),
+                          planted=planted)[1] for planted in (False, True)]
+    assert scores[0] != scores[1]

@@ -33,6 +33,8 @@ RUNS = [
      "c46793a62ee52e91199644f8bc693dbd8dcb039ceb8fe1f108cade6a612bc70d"),
     ("--problem weighted-ls --n 12 --p 3 --algo rgd --eta 0.2 --epochs 50 --seed 7",
      "8ed641c4440816c513c4ab62036abe6f6dd342c9c8aaf507a125e0fa559f87db"),
+    ("weighted-ls-desk-sparse --epochs 5",
+     "05ae4d80bb14767299950277da45948240fda594073b9d3a20fc2cecefe5767b"),
     ("--problem nearest-symplectic --planted --n 4 --p 3 --algo rcd --eta 0.02 "
      "--epochs 30 --seed 9",
      "43a8b09c065a4c2db5e6f477ddf434be2406baabea45eb79f646f056f71285ba"),
