@@ -23,7 +23,7 @@ import sys
 
 from .bench import grid_search, run_experiment
 from .flops import render_table
-from .optimize import TRACES, OptimizerConfig
+from .optimize import ALGORITHMS, SELECTIONS, TRACES, OptimizerConfig
 from .problems import PRESETS, PROBLEMS
 
 _RUN_KEYS = {
@@ -44,9 +44,8 @@ _DEFAULTS = {
 
 def _add_run_flags(sub):
     sub.add_argument("--problem", choices=PROBLEMS)
-    sub.add_argument("--algo", choices=("rcd", "rcdlin", "rgd", "tsd"))
-    sub.add_argument("--select",
-                     choices=("cyclic", "random", "without-replacement", "time-cyclic"))
+    sub.add_argument("--algo", choices=ALGORITHMS)
+    sub.add_argument("--select", choices=SELECTIONS)
     sub.add_argument("--n", type=int)
     sub.add_argument("--p", type=int)
     sub.add_argument("--eta", type=float)

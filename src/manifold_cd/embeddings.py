@@ -33,6 +33,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .flops import ZERO_DERIVATIVE_SKIP
+from .linalg import ROTATIONS, rotate_rows
 from .manifolds import Hyperbolic, Manifold, ManifoldDescriptor, lift_to_hyperboloid
 from .optimize import Objective, OptimizerConfig, coordinate_basis, run_epochs
 from .rng import SplitMix64
@@ -223,13 +224,12 @@ def _sweep(pairs: list):
             overflow |= moving & (np.abs(angle) > 500.0)
             m = np.flatnonzero(moving & ~overflow)
             trace.update_flops += 4 * x.shape[1] + 6 * m.size
-            # math.cosh/sinh as in apply_rotation: np.cosh/np.sinh round differently
-            cos, sin = (math.cosh, math.sinh) if i == 0 else (math.cos, math.sin)
+            # time-row pairs rotate hyperbolically; linalg's kernel and its
+            # math trig per moving word (np.cosh/np.sinh round differently)
+            cos, sin = ROTATIONS["hyperbolic" if i == 0 else "circular"]
             am = angle[m].tolist()
             c, s = np.array(list(map(cos, am))), np.array(list(map(sin, am)))
-            ri, rj = x[i, m], x[j, m]
-            x[i, m] = c * ri + s * rj
-            x[j, m] = s * ri + c * rj if i == 0 else c * rj - s * ri
+            rotate_rows(x, (i, m), (j, m), c, s, i == 0)
         if overflow.any():
             raise RuntimeError(f"rotation angle overflow at epoch {k}, "
                                f"word {np.flatnonzero(overflow)[0]}: reduce the stepsize")

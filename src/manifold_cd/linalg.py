@@ -14,7 +14,10 @@ Rotation conventions (side="left", rows i and j, angle theta):
     hyperbolic   row_i' = cosh(theta)*row_i + sinh(theta)*row_j
                  row_j' = sinh(theta)*row_i + cosh(theta)*row_j
 
-side="right" applies the same recombination to columns i and j.
+side="right" applies the same recombination to columns i and j.  One kernel,
+``rotate_rows``, holds the update for every caller, and one table,
+``ROTATIONS``, the coefficients: math's functions, since np.cosh and np.sinh
+round differently.
 """
 
 from __future__ import annotations
@@ -33,12 +36,23 @@ def _check_pair(i: int, j: int, limit: int) -> None:
         raise IndexError(f"need 0 <= i < j < {limit}, got ({i}, {j})")
 
 
-def rotation_coefficients(theta: float, kind: str) -> tuple[float, float]:
-    if kind == "circular":
-        return math.cos(theta), math.sin(theta)
-    if kind == "hyperbolic":
-        return math.cosh(theta), math.sinh(theta)
-    raise ValueError(f"unknown rotation kind {kind!r}")
+ROTATIONS = {"circular": (math.cos, math.sin), "hyperbolic": (math.cosh, math.sinh)}
+
+
+def _check_kind(kind: str) -> None:
+    if kind not in ROTATIONS:
+        raise ValueError(f"unknown rotation kind {kind!r}")
+
+
+def rotate_rows(out: np.ndarray, i, j, c, s, hyperbolic: bool) -> None:
+    """Rotate rows ``out[i]``, ``out[j]`` in place by coefficients ``c``, ``s``
+    that broadcast against them; ``i``/``j`` may be ints, index arrays or index
+    tuples.  Both new rows are computed first, since ``out[i]`` may be a view."""
+    ri, rj = out[i], out[j]
+    new_i = c * ri + s * rj
+    new_j = s * ri + c * rj if hyperbolic else c * rj - s * ri
+    out[i] = new_i
+    out[j] = new_j
 
 
 def apply_rotation(
@@ -54,28 +68,11 @@ def apply_rotation(
     if side not in ("left", "right"):
         raise ValueError(f"unknown side {side!r}")
     _check_pair(i, j, x.shape[0] if side == "left" else x.shape[1])
-    c, s = rotation_coefficients(theta, kind)
+    _check_kind(kind)
+    cos, sin = ROTATIONS[kind]
     out = x if inplace else x.copy()
-    if side == "left":
-        ri, rj = out[i], out[j]
-        if kind == "circular":
-            new_i = c * ri + s * rj
-            new_j = c * rj - s * ri
-        else:
-            new_i = c * ri + s * rj
-            new_j = s * ri + c * rj
-        out[i] = new_i
-        out[j] = new_j
-    else:
-        ci, cj = out[:, i], out[:, j]
-        if kind == "circular":
-            new_i = c * ci + s * cj
-            new_j = c * cj - s * ci
-        else:
-            new_i = c * ci + s * cj
-            new_j = s * ci + c * cj
-        out[:, i] = new_i
-        out[:, j] = new_j
+    rotate_rows(out if side == "left" else out.T, i, j, cos(theta), sin(theta),
+                kind == "hyperbolic")
     return out
 
 
@@ -87,38 +84,31 @@ def apply_disjoint_rotations(
     """Apply a batch of left rotations whose index pairs are pairwise disjoint.
 
     Disjoint rows commute exactly in floating point, so the result is bitwise
-    identical to sequential application in any order; the batch is executed as
-    one vectorized gather/scatter.  Batch entries are (i, j, theta) or
-    (i, j, theta, kind); kind defaults to "circular".
+    identical to sequential application in any order; each kind's entries
+    are executed as one vectorized gather/scatter.  Batch entries are
+    (i, j, theta) or (i, j, theta, kind); kind defaults to "circular".  The
+    whole batch is validated before ``x`` is touched.
     """
-    out = x if inplace else x.copy()
-    if not batch:
-        return out
+    groups: dict[str, list] = {kind: [] for kind in ROTATIONS}
     seen: set[int] = set()
     for entry in batch:
         i, j = entry[0], entry[1]
+        kind = entry[3] if len(entry) > 3 else "circular"
         _check_pair(i, j, x.shape[0])
         if i in seen or j in seen:
             raise ValueError(f"rotation indices overlap at pair ({i}, {j})")
+        _check_kind(kind)
         seen.add(i)
         seen.add(j)
-    for kind in ("circular", "hyperbolic"):
-        group = [e for e in batch if (e[3] if len(e) > 3 else "circular") == kind]
-        if not group:
-            continue
+        groups[kind].append(entry)
+    out = x if inplace else x.copy()
+    for kind, group in groups.items():
+        cos, sin = ROTATIONS[kind]
         ii = np.array([e[0] for e in group], dtype=np.intp)
         jj = np.array([e[1] for e in group], dtype=np.intp)
-        cs = np.array([rotation_coefficients(e[2], kind) for e in group])
-        c = cs[:, 0:1]
-        s = cs[:, 1:2]
-        ri = out[ii]
-        rj = out[jj]
-        if kind == "circular":
-            out[ii] = c * ri + s * rj
-            out[jj] = c * rj - s * ri
-        else:
-            out[ii] = c * ri + s * rj
-            out[jj] = s * ri + c * rj
+        c = np.array([cos(e[2]) for e in group])[:, None]
+        s = np.array([sin(e[2]) for e in group])[:, None]
+        rotate_rows(out, ii, jj, c, s, kind == "hyperbolic")
     return out
 
 

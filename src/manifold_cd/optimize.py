@@ -17,10 +17,13 @@ ladder, so every optimizer honours the same configuration.  With S = 1 and
 randomized selection rcd and rcdlin are the same algorithm, and for
 constant-gradient objectives they coincide for any S, bitwise.
 
-Selection rules: cyclic (position s mod |I| in enumeration order), random
-(uniform, rejection-sampled), without-replacement (a fresh uniform
-permutation per |I| block), and time-cyclic (hyperbolic only: the pairs
-(0,1), (0,2), ..., (0,n-1)).
+Selection rules, one lazy label stream per epoch (``epoch_labels``): cyclic
+(position s mod |I| in enumeration order), random (uniform, rejection-sampled),
+without-replacement (a fresh uniform permutation per |I| block), and
+time-cyclic (hyperbolic only: the pairs (0,1), (0,2), ..., (0,n-1)).  Draws
+happen as the loop reaches them, so a BW epoch that aborts and is retried
+leaves the generator just past the draws it used.  ``inner`` steps over an
+empty label set are a ValueError; without ``inner`` an epoch takes no step.
 
 Accounting: oracle flops (gradient, plus derivative-carrier construction for
 rcd/rcdlin, charged per invocation), update flops (the published
@@ -34,6 +37,7 @@ traces.
 
 from __future__ import annotations
 
+import itertools
 import math
 import time
 from dataclasses import dataclass, field
@@ -42,7 +46,7 @@ from typing import Callable
 import numpy as np
 
 from .flops import ZERO_DERIVATIVE_SKIP
-from .indices import CoordinateIndex, Pair
+from .indices import Pair
 from .manifolds import Manifold
 from .manifolds.stiefel import tsd_column_step, tsd_enumerate, tsd_flop_parts, tsd_pair_step
 from .rng import SplitMix64
@@ -143,35 +147,20 @@ class Trace:
         return self.records[-1].f
 
 
-class Selector:
-    """Deterministic index selection; only randomized rules consume the rng."""
-
-    def __init__(self, rule: str, basis: list[CoordinateIndex], rng: SplitMix64):
-        self.rule = rule
-        self.basis = basis
-        self.rng = rng
-        self._perm: np.ndarray | None = None
-        self._pos = 0
-
-    def pick(self, s: int) -> CoordinateIndex:
-        m = len(self.basis)
-        if self.rule in ("cyclic", "time-cyclic"):
-            return self.basis[s % m]
-        if self.rule == "random":
-            return self.basis[self.rng.below(m)]
-        # without-replacement: fresh permutation per |I| block
-        if self._perm is None or self._pos >= m:
-            self._perm = self.rng.permutation(m)
-            self._pos = 0
-        idx = self.basis[int(self._perm[self._pos])]
-        self._pos += 1
-        return idx
-
-    def reset_epoch(self):
-        """Fresh permutation at every epoch start (without-replacement only);
-        epochs with S > |I| reshuffle again at each |I| block boundary."""
-        self._perm = None
-        self._pos = 0
+def epoch_labels(rule: str, labels: list, n_inner: int, rng: SplitMix64):
+    """One epoch's ``n_inner`` labels, drawn lazily: cyclic and time-cyclic
+    repeat ``labels``, random draws ``rng.below(|I|)`` per label, and
+    without-replacement a fresh ``rng.permutation(|I|)`` at positions 0, |I|,
+    2|I|, ...  Abandoned after k labels, it has made only those k labels' draws."""
+    if rule in ("cyclic", "time-cyclic"):
+        return itertools.islice(itertools.cycle(labels), n_inner)
+    m = len(labels)
+    if rule == "random":
+        return (labels[rng.below(m)] for _ in range(n_inner))
+    # each block's permutation is drawn as the block starts, not up front;
+    # max(m, 1): an empty basis with n_inner = 0 has no block
+    return (labels[p] for start in range(0, n_inner, max(m, 1))
+            for p in rng.permutation(m)[:n_inner - start].tolist())
 
 
 def _check_finite(v: float, k: int, s: int, what: str) -> float:
@@ -282,9 +271,12 @@ def run_epochs(man: Manifold, obj: Objective, x0: np.ndarray, cfg: OptimizerConf
     before every step when ``fresh_oracle`` is set, else once per epoch.
     """
     man.check_shape(x0)
-    x = x0.copy()
-    selector = Selector(cfg.selection, labels, SplitMix64(cfg.seed))
     n_inner = _inner_steps(cfg, labels)
+    if n_inner and not labels:
+        raise ValueError(f"{n_inner} inner steps per epoch were requested, "
+                         "but the label set is empty")
+    x = x0.copy()
+    rng = SplitMix64(cfg.seed)
     trace = Trace(eta_used=cfg.eta)
     t0 = time.monotonic_ns() if cfg.log_wall else None
     oracle_flops = obj.grad_flops + (man.carrier_flops() if carrier else 0)
@@ -295,7 +287,6 @@ def run_epochs(man: Manifold, obj: Objective, x0: np.ndarray, cfg: OptimizerConf
     with np.errstate(over="ignore", invalid="ignore"):
         while k < cfg.epochs:
             eta_k = eta if cfg.eta_decay == 0.0 else eta / (1.0 + cfg.eta_decay * k)
-            selector.reset_epoch()
             epoch_grad = None
             epoch_feas = None
             if cfg.grad_log_every and k % cfg.grad_log_every == 0:
@@ -311,8 +302,7 @@ def run_epochs(man: Manifold, obj: Objective, x0: np.ndarray, cfg: OptimizerConf
                 flops_mark = (trace.oracle_calls, trace.oracle_flops, trace.update_flops,
                               len(trace.records))
             try:
-                for s in range(n_inner):
-                    l = selector.pick(s)
+                for s, l in enumerate(epoch_labels(cfg.selection, labels, n_inner, rng)):
                     if fresh_oracle or s == 0:
                         g = obj.euclid_grad(x)
                         d = man.derivative_carrier(x, g) if carrier else g

@@ -227,6 +227,18 @@ def _one_error_line(capsys):
     return err.startswith("error: ") and err.count("\n") == 1 and "Traceback" not in err
 
 
+@pytest.mark.parametrize("select", ["cyclic", "random", "without-replacement"])
+def test_inner_steps_over_an_empty_basis_rejected(capsys, tmp_path, select):
+    # Stiefel(1, 1) has no coordinate pairs: with no --inner an epoch takes no step
+    base = ["run", "--problem", "procrustes", "--n", "1", "--p", "1", "--epochs", "2",
+            "--select", select, "--out", str(tmp_path / "t.csv")]
+    assert _run_cli(base) == 0
+    capsys.readouterr()
+    assert _run_cli(base + ["--inner", "3"]) == 1
+    err = capsys.readouterr().err
+    assert err == "error: 3 inner steps per epoch were requested, but the label set is empty\n"
+
+
 @pytest.mark.parametrize("file_vals", [{"epochs": "5"}, {"n": 6.5, "p": 2, "epochs": 2},
                                        {"wall": 1}, {"epochs": True}, {"eta": None}])
 def test_config_value_of_wrong_type_rejected(capsys, tmp_path, file_vals):

@@ -106,6 +106,15 @@ class TestDisjointBatch:
         with pytest.raises(ValueError):
             apply_disjoint_rotations(x, [(0, 1, 0.1), (1, 2, 0.2)])
 
+    def test_unknown_kind_rejected_before_any_write(self):
+        x = SplitMix64(14).gaussian(4, 2)
+        before = x.copy()
+        for batch in ([(0, 1, 0.3, "hyperbolc"), (2, 3, 0.2)],
+                      [(2, 3, 0.2), (0, 1, 0.3, "hyperbolc")]):
+            with pytest.raises(ValueError, match="unknown rotation kind"):
+                apply_disjoint_rotations(x, batch, inplace=True)
+            assert np.array_equal(x, before)
+
 
 class TestFrobeniusInner:
     def test_identity(self):

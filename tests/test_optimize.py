@@ -12,8 +12,8 @@ from manifold_cd.optimize import (
     Objective,
     OptimizeAbort,
     OptimizerConfig,
-    Selector,
     coordinate_basis,
+    epoch_labels,
     flop_audit,
     run_rcd,
     run_rcdlin,
@@ -39,21 +39,19 @@ def _pca_setup(n=12, p=3, seed=5):
 class TestSelection:
     def test_cyclic_positions(self):
         basis = [Pair(0, 1), Pair(0, 2), Pair(1, 2)]
-        sel = Selector("cyclic", basis, SplitMix64(1))
-        assert [sel.pick(s) for s in range(6)] == basis + basis
+        assert list(epoch_labels("cyclic", basis, 6, SplitMix64(1))) == basis + basis
 
     def test_random_is_deterministic(self):
         basis = [Pair(i, j) for i in range(6) for j in range(i + 1, 6)]
-        a = Selector("random", basis, SplitMix64(7))
-        b = Selector("random", basis, SplitMix64(7))
-        assert [a.pick(s) for s in range(40)] == [b.pick(s) for s in range(40)]
+        a = epoch_labels("random", basis, 40, SplitMix64(7))
+        b = epoch_labels("random", basis, 40, SplitMix64(7))
+        assert list(a) == list(b)
 
     def test_without_replacement_is_permutation_per_epoch(self):
         basis = [Pair(i, j) for i in range(5) for j in range(i + 1, 5)]
-        sel = Selector("without-replacement", basis, SplitMix64(9))
+        rng = SplitMix64(9)
         for _ in range(100):
-            sel.reset_epoch()
-            picks = [sel.pick(s) for s in range(len(basis))]
+            picks = list(epoch_labels("without-replacement", basis, len(basis), rng))
             assert sorted(picks) == sorted(basis)
 
     def test_time_cyclic_pairs(self):
@@ -61,9 +59,29 @@ class TestSelection:
         basis = coordinate_basis(man, "time-cyclic")
         assert basis == [Pair(0, 1), Pair(0, 2), Pair(0, 3), Pair(0, 4)]
         assert coordinate_basis(man, "cyclic") == man.enumerate_basis()
-        sel = Selector("time-cyclic", basis, SplitMix64(1))
-        picks = [sel.pick(s) for s in range(8)]
+        picks = list(epoch_labels("time-cyclic", basis, 8, SplitMix64(1)))
         assert picks == basis + basis
+
+    def test_randomized_draws_are_lazy(self):
+        basis = [Pair(i, j) for i in range(4) for j in range(i + 1, 4)]
+        m = len(basis)
+        # n_inner = 2.5 |I|: two full permutation blocks, then half a fresh one
+        picks = list(epoch_labels("without-replacement", basis, 5 * m // 2, SplitMix64(3)))
+        ref = SplitMix64(3)
+        blocks = [ref.permutation(m).tolist() for _ in range(3)]
+        assert picks == [basis[p] for p in blocks[0] + blocks[1] + blocks[2][:m // 2]]
+        # an abandoned epoch advances the generator by the labels it gave only
+        for rule, draw in (("random", lambda r: r.below(m)),
+                           ("without-replacement", lambda r: r.permutation(m))):
+            for k in (0, 1, m - 1, m, m + 1):
+                rng, ref = SplitMix64(5), SplitMix64(5)
+                labels = epoch_labels(rule, basis, 3 * m, rng)
+                for _ in range(k):
+                    next(labels)
+                draws = k if rule == "random" else -(-k // m)
+                for _ in range(draws):
+                    draw(ref)
+                assert rng._state == ref._state, (rule, k)
 
     def test_time_cyclic_rejected_off_hyperbolic(self):
         man, obj, x0, _ = _pca_setup()
