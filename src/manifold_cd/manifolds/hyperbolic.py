@@ -12,12 +12,15 @@ J-orthogonal columns can both be timelike-normalized).  The formulas below
 are valid for any (n, p) -- the rotation and Cayley maps preserve X' J X
 whatever its value -- and the feasible family is exercised at p = 1.
 ``random_point`` therefore refuses p > 1.
+
+scipy is imported inside ``Hyperbolic.full_retract`` and
+``hyperbolic_cayley_retract``, the only callers of ``expm`` and the LU
+solver, so coordinate-descent runs never pay for loading it.
 """
 
 from __future__ import annotations
 
 import numpy as np
-from scipy.linalg import expm, lu_factor, lu_solve
 
 from ..linalg import apply_rotation
 from ..rng import SplitMix64
@@ -62,8 +65,8 @@ class Hyperbolic(Manifold):
     def coordinate_derivative_from_carrier(self, x, d, l):
         i, j = l
         if i == 0:
-            return float(np.dot(d[0], x[j]) + np.dot(d[j], x[0]))
-        return float(np.dot(d[i], x[j]) - np.dot(d[j], x[i]))
+            return float(d[0].dot(x[j]) + d[j].dot(x[0]))
+        return float(d[i].dot(x[j]) - d[j].dot(x[i]))
 
     def coordinate_retract(self, x, l, t, inplace=False):
         if t == 0.0:
@@ -73,6 +76,8 @@ class Hyperbolic(Manifold):
         return apply_rotation(x, i, j, t, "left", kind, inplace), False
 
     def full_retract(self, x, u, t):
+        from scipy.linalg import expm
+
         w = tangent_skew_parameter(x, u)
         wj = w * _j_diag(self.n)[np.newaxis, :]
         return expm(t * wj) @ x
@@ -143,6 +148,8 @@ def tangent_skew_parameter(x: np.ndarray, u: np.ndarray) -> np.ndarray:
 
 def hyperbolic_cayley_retract(x: np.ndarray, u: np.ndarray, t: float) -> np.ndarray:
     """Cayley-transform retraction (I - t/2 WJ)^-1 (I + t/2 WJ) x."""
+    from scipy.linalg import lu_factor, lu_solve
+
     n = x.shape[0]
     w = tangent_skew_parameter(x, u)
     wj = w * _j_diag(n)[np.newaxis, :]

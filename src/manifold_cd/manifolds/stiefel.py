@@ -59,7 +59,7 @@ class Stiefel(Manifold):
 
     def coordinate_derivative_from_carrier(self, x, d, l):
         i, j = l
-        return float(np.dot(d[i], x[j]) - np.dot(d[j], x[i]))
+        return float(d[i].dot(x[j]) - d[j].dot(x[i]))
 
     def coordinate_retract(self, x, l, t, inplace=False):
         if t == 0.0:

@@ -8,6 +8,9 @@ symmetric pair family over 0 <= i <= j < 2n.  A coordinate step is additive
 exponential truncates) except when j = i + n, which exponentiates to a
 reciprocal scaling of rows i and i + n.  The cross-pair test is exact integer
 equality.
+
+scipy is imported inside ``Symplectic.full_retract``, the only caller of
+``expm``, so coordinate-descent runs never pay for loading it.
 """
 
 from __future__ import annotations
@@ -15,7 +18,6 @@ from __future__ import annotations
 import math
 
 import numpy as np
-from scipy.linalg import expm
 
 from ..indices import Pair
 from ..linalg import sym_eig
@@ -104,6 +106,8 @@ class Symplectic(Manifold):
         return out, False
 
     def full_retract(self, x, u, t):
+        from scipy.linalg import expm
+
         s = tangent_symmetric_parameter(x, u)
         s_omega = np.hstack((-s[:, self.n:], s[:, :self.n]))  # s @ O
         return expm(t * s_omega) @ x

@@ -117,7 +117,7 @@ class OptimizerConfig:
             raise ValueError("stop_grad_tol must be finite and >= 0")
 
 
-@dataclass
+@dataclass(slots=True)
 class IterationRecord:
     k: int
     s: int
@@ -200,7 +200,11 @@ def coordinate_step(man: Manifold, anchored_steps: int = 0):
         trace.update_flops += dflops
         if abs(theta) >= ZERO_DERIVATIVE_SKIP:
             t = -scale * eta * theta
-            x, clamped = man.coordinate_retract(x, l, t, inplace=True)
+            try:
+                x, clamped = man.coordinate_retract(x, l, t, inplace=True)
+            except OverflowError as exc:
+                # math.cosh/exp overflow before any row is written
+                raise OptimizeAbort(k, s, "coordinate retraction") from exc
             trace.update_flops += uflops
             if clamped:
                 trace.clamped_steps += 1

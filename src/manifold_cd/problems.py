@@ -74,7 +74,7 @@ def make_procrustes(n: int, p: int, seed: int):
     f_star = float(np.sum(x_star * c))
     spec = ProblemSpec("procrustes", ManifoldDescriptor("stiefel", (n, p)), seed)
     obj = Objective(
-        value=lambda x: float(np.sum(x * c)),
+        value=lambda x: float((x * c).sum()),
         euclid_grad=lambda x: c,
         grad_flops=0,
         name="procrustes",

@@ -313,3 +313,35 @@ def test_grid_honours_planted():
     scores = [grid_search("nearest-symplectic", 4, 3, 9, cfg, etas=(0.02,),
                           planted=planted)[1] for planted in (False, True)]
     assert scores[0] != scores[1]
+
+
+_COLD_START = """
+import sys
+from manifold_cd import cli
+assert cli.main(["run", "--problem", "procrustes", "--algo", "rcd", "--n", "6",
+                 "--p", "2", "--epochs", "2", "--out", sys.argv[1]]) == 0
+assert "scipy" not in sys.modules, "a coordinate-descent run imported scipy"
+
+import numpy as np
+from manifold_cd import ManifoldDescriptor, make_manifold
+from manifold_cd.optimize import Objective, OptimizerConfig, run_rgd
+from manifold_cd.rng import SplitMix64
+
+for family, dims in (("hyperbolic", (3, 1)), ("symplectic", (2, 1))):
+    man = make_manifold(ManifoldDescriptor(family, dims))
+    x0 = man.random_point(SplitMix64(0))
+    obj = Objective(value=lambda x: float(np.sum(x * x)), euclid_grad=lambda x: 2.0 * x)
+    x, _ = run_rgd(man, obj, x0, OptimizerConfig(algorithm="rgd", epochs=2, eta=0.01))
+    assert man.feasibility_residual(x) < 1e-10, family
+assert "scipy.linalg" in sys.modules
+"""
+
+
+def test_cold_start_imports_scipy_only_for_full_retractions(tmp_path):
+    # a fresh interpreter: this test process has imported scipy elsewhere
+    src = os.path.dirname(os.path.dirname(os.path.abspath(cli.__file__)))
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    proc = subprocess.run([sys.executable, "-c", _COLD_START, str(tmp_path / "t.csv")],
+                          capture_output=True, text=True, env=env, timeout=60)
+    assert proc.returncode == 0, proc.stderr

@@ -141,6 +141,22 @@ class TestEngine:
             run_rcd(man, obj, x0, cfg)
         assert err.value.k == 0 and err.value.s == 3
 
+    @pytest.mark.parametrize("algo, runner", [("rcd", run_rcd), ("rcdlin", run_rcdlin)])
+    def test_hyperbolic_rotation_overflow_aborts_with_location(self, algo, runner):
+        # a far target and a large stepsize drive the hyperbolic angle past
+        # what math.cosh can represent on the second step
+        man = make_manifold(ManifoldDescriptor("hyperbolic", (5, 1)))
+        x0 = man.random_point(SplitMix64(0))
+        a = 5.0 * SplitMix64(1).gaussian(5, 1)
+        obj = Objective(value=lambda x: float(np.sum((x - a) ** 2)),
+                        euclid_grad=lambda x: 2.0 * (x - a))
+        cfg = OptimizerConfig(algorithm=algo, epochs=50, eta=0.7,
+                              selection="cyclic", seed=0)
+        with pytest.raises(OptimizeAbort, match="epoch 0, inner step 1") as err:
+            runner(man, obj, x0, cfg)
+        assert err.value.k == 0 and err.value.s == 1
+        assert isinstance(err.value.__cause__, OverflowError)
+
     def test_returned_iterate_feasible(self):
         man, obj, x0, _ = _pca_setup()
         cfg = OptimizerConfig(algorithm="rcdlin", epochs=30, eta=0.2,
