@@ -10,7 +10,7 @@ empty fields for unlogged optionals, UTF-8, LF line endings.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -184,10 +184,7 @@ def grid_search(
     """
 
     def one(eta: float) -> float:
-        sub = OptimizerConfig(
-            algorithm=cfg.algorithm, epochs=cfg.epochs, inner=cfg.inner,
-            eta=eta, eta_decay=cfg.eta_decay, selection=cfg.selection,
-            seed=cfg.seed, trace="epoch")
+        sub = replace(cfg, eta=eta, trace="epoch")
         try:
             res = run_experiment(problem, n, p, seed, sub, cond=cond,
                                  density=density, planted=planted,

@@ -28,11 +28,17 @@ hot path.
 
 All operations are pure unless ``inplace=True`` is passed to a retraction,
 in which case the caller must hold the array exclusively.  With t = 0 the
-retractions return the input bitwise unchanged.
+retractions return the input bitwise unchanged.  ``coordinate_retract`` keeps
+both promises here, once; a family implements only ``_retract(out, l, t)``,
+which updates ``out`` in place for t != 0 and returns ``clamped``.  A step
+that cannot be taken (an exponent past the float range) must raise
+``OverflowError`` before any write, so the point is untouched and the engine
+reports the abort with its epoch and step.
 """
 
 from __future__ import annotations
 
+import operator
 from abc import ABC, abstractmethod
 from dataclasses import dataclass, field
 
@@ -70,6 +76,7 @@ class ManifoldDescriptor:
     def __post_init__(self):
         if self.family not in FAMILIES:
             raise ValueError(f"unknown family {self.family!r}")
+        object.__setattr__(self, "dims", tuple(map(operator.index, self.dims)))
         a, b = self.dims
         if a < 1 or b < 1:
             raise ValueError(f"dims must be positive, got {self.dims}")
@@ -97,13 +104,14 @@ class ManifoldDescriptor:
 
 class Manifold(ABC):
     family: str = ""
+    _basis: list[CoordinateIndex]
 
     def __init__(self, descriptor: ManifoldDescriptor):
         self.descriptor = descriptor
 
     @property
-    @abstractmethod
-    def ambient_shape(self) -> tuple[int, int]: ...
+    def ambient_shape(self) -> tuple[int, int]:
+        return self.descriptor.dims
 
     @property
     def gradient_shape(self) -> tuple[int, int]:
@@ -128,8 +136,8 @@ class Manifold(ABC):
         """Metric norm of the Riemannian gradient (Frobenius by default)."""
         return float(np.linalg.norm(self.riemannian_gradient(x, g)))
 
-    @abstractmethod
-    def enumerate_basis(self) -> list[CoordinateIndex]: ...
+    def enumerate_basis(self) -> list[CoordinateIndex]:
+        return self._basis
 
     def index_count(self) -> int:
         return len(self.enumerate_basis())
@@ -163,10 +171,19 @@ class Manifold(ABC):
 
     # -- retractions ------------------------------------------------------
 
-    @abstractmethod
     def coordinate_retract(
         self, x: np.ndarray, l: CoordinateIndex, t: float, inplace: bool = False
-    ) -> tuple[np.ndarray, bool]: ...
+    ) -> tuple[np.ndarray, bool]:
+        out = x if inplace else x.copy()
+        if t == 0.0:
+            return out, False
+        return out, self._retract(out, l, t)
+
+    @abstractmethod
+    def _retract(self, out: np.ndarray, l: CoordinateIndex, t: float) -> bool:
+        """Retract ``out`` along B_l with parameter t != 0, in place; return
+        ``clamped``.  Raise ``OverflowError`` before any write when the step
+        cannot be taken."""
 
     @abstractmethod
     def full_retract(self, x: np.ndarray, u: np.ndarray, t: float) -> np.ndarray: ...
@@ -217,8 +234,8 @@ class Manifold(ABC):
     def random_point(self, rng: SplitMix64) -> np.ndarray: ...
 
     def random_tangent(self, x: np.ndarray, rng: SplitMix64) -> np.ndarray:
-        """Seeded tangent vector at x (projection of an ambient Gaussian)."""
-        raise NotImplementedError
+        """Seeded tangent vector at x: the Riemannian gradient of a Gaussian."""
+        return self.riemannian_gradient(x, rng.gaussian(*self.gradient_shape))
 
 
 def make_manifold(descriptor: ManifoldDescriptor) -> Manifold:

@@ -127,10 +127,6 @@ class DoublyStochastic(Manifold):
             Entry(i, j) for i in range(self.m - 1) for j in range(self.n - 1)
         ]
 
-    @property
-    def ambient_shape(self):
-        return (self.m, self.n)
-
     def feasibility_residual(self, x):
         self.check_shape(x)
         row = x.sum(axis=1) - self.mu
@@ -164,17 +160,11 @@ class DoublyStochastic(Manifold):
         u = self.riemannian_gradient(x, g)
         return float(math.sqrt(np.sum(u * u / x)))
 
-    def enumerate_basis(self):
-        return self._basis
-
     def coordinate_derivative_from_carrier(self, x, d, l):
         i, j = l
         return float(d[i, j] - d[i, j + 1] - d[i + 1, j] + d[i + 1, j + 1])
 
-    def coordinate_retract(self, x, l, t, inplace=False):
-        out = x if inplace else x.copy()
-        if t == 0.0:
-            return out, False
+    def _retract(self, out, l, t):
         i, j = l
         block = out[i:i + 2, j:j + 2]
         expo = t * _BLOCK_SIGNS / block
@@ -189,7 +179,7 @@ class DoublyStochastic(Manifold):
             w = np.maximum(w, floor)
             clamped = True
         out[i:i + 2, j:j + 2] = sinkhorn_2x2(w, p, q)
-        return out, clamped
+        return clamped
 
     def full_retract(self, x, u, t):
         return full_sinkhorn(x * np.exp(t * u / x), self.mu, self.nu)
@@ -217,13 +207,6 @@ class DoublyStochastic(Manifold):
         u = np.exp(0.3 * rng.gaussian(self.m, self.n))
         return full_sinkhorn(u, self.mu, self.nu)
 
-    def random_tangent(self, x, rng: SplitMix64):
-        z = rng.gaussian(self.m, self.n)
-        # project onto {u : u 1 = 0, u' 1 = 0} (Euclidean double centering)
-        z -= z.mean(axis=1, keepdims=True)
-        z -= z.mean(axis=0, keepdims=True)
-        return z
-
 
 class Multinomial(Manifold):
     family = "multinomial"
@@ -234,10 +217,6 @@ class Multinomial(Manifold):
         self._basis = [
             Entry(i, j) for i in range(self.n) for j in range(self.p - 1)
         ]
-
-    @property
-    def ambient_shape(self):
-        return (self.n, self.p)
 
     def feasibility_residual(self, x):
         self.check_shape(x)
@@ -251,17 +230,11 @@ class Multinomial(Manifold):
         u = self.riemannian_gradient(x, g)
         return float(math.sqrt(np.sum(u * u / x)))
 
-    def enumerate_basis(self):
-        return self._basis
-
     def coordinate_derivative_from_carrier(self, x, d, l):
         i, j = l
         return float(d[i, j] - d[i, j + 1])
 
-    def coordinate_retract(self, x, l, t, inplace=False):
-        out = x if inplace else x.copy()
-        if t == 0.0:
-            return out, False
+    def _retract(self, out, l, t):
         i, j = l
         x1, x2 = out[i, j], out[i, j + 1]
         e1, e2 = t / x1, -t / x2
@@ -279,7 +252,7 @@ class Multinomial(Manifold):
         scale = (x1 + x2) / (w1 + w2)
         out[i, j] = w1 * scale
         out[i, j + 1] = w2 * scale
-        return out, clamped
+        return clamped
 
     def full_retract(self, x, u, t):
         w = x * np.exp(t * u / x)
@@ -306,7 +279,3 @@ class Multinomial(Manifold):
     def random_point(self, rng: SplitMix64):
         w = np.exp(0.5 * rng.gaussian(self.n, self.p))
         return w / w.sum(axis=1, keepdims=True)
-
-    def random_tangent(self, x, rng: SplitMix64):
-        z = rng.gaussian(self.n, self.p)
-        return z - z.mean(axis=1, keepdims=True)

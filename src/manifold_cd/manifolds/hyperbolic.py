@@ -43,10 +43,6 @@ class Hyperbolic(Manifold):
         self.n, self.p = descriptor.dims
         self._basis = enumerate_pairs(self.n)
 
-    @property
-    def ambient_shape(self):
-        return (self.n, self.p)
-
     def feasibility_residual(self, x):
         self.check_shape(x)
         return float(np.linalg.norm(-x.T @ apply_j(x) - np.eye(self.p)))
@@ -59,21 +55,18 @@ class Hyperbolic(Manifold):
         val = float(np.sum(u * apply_j(u)))
         return float(np.sqrt(max(val, 0.0)))
 
-    def enumerate_basis(self):
-        return self._basis
-
     def coordinate_derivative_from_carrier(self, x, d, l):
         i, j = l
         if i == 0:
             return float(d[0].dot(x[j]) + d[j].dot(x[0]))
         return float(d[i].dot(x[j]) - d[j].dot(x[i]))
 
-    def coordinate_retract(self, x, l, t, inplace=False):
-        if t == 0.0:
-            return (x if inplace else x.copy()), False
+    def _retract(self, out, l, t):
+        # math.cosh raises OverflowError before either row is written
         i, j = l
         kind = "hyperbolic" if i == 0 else "circular"
-        return apply_rotation(x, i, j, t, "left", kind, inplace), False
+        apply_rotation(out, i, j, t, "left", kind, inplace=True)
+        return False
 
     def full_retract(self, x, u, t):
         from scipy.linalg import expm
@@ -115,11 +108,6 @@ class Hyperbolic(Manifold):
         v = rng.gaussian(self.n, 1)
         v[0, 0] = 0.0
         return lift_to_hyperboloid(v)
-
-    def random_tangent(self, x, rng: SplitMix64):
-        z = rng.gaussian(self.n, self.p)
-        # tangent projection: A + X sym(X' J A)
-        return z + x @ _sym(x.T @ apply_j(z))
 
 
 def _j_diag(n: int) -> np.ndarray:

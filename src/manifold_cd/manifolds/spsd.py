@@ -35,10 +35,6 @@ class FactoredSpsd(Manifold):
         self._basis = [Entry(i, j) for i in range(self.n) for j in range(self.p)]
 
     @property
-    def ambient_shape(self):
-        return (self.n, self.p)
-
-    @property
     def gradient_shape(self):
         return (self.n, self.n)
 
@@ -68,9 +64,6 @@ class FactoredSpsd(Manifold):
         r[:, l.j] += (2.0 * t) * gs[:, l.i]
         return 2 * self.n + 1
 
-    def enumerate_basis(self):
-        return self._basis
-
     def coordinate_derivative_from_carrier(self, y, d, l):
         i, j = l
         return float(d[0][i, j])
@@ -78,12 +71,9 @@ class FactoredSpsd(Manifold):
     def reference_gradient(self, y, g):
         return (g + g.T) @ y
 
-    def coordinate_retract(self, y, l, t, inplace=False):
-        out = y if inplace else y.copy()
-        if t != 0.0:
-            i, j = l
-            out[i, j] += t
-        return out, False
+    def _retract(self, y, l, t):
+        y[l] += t
+        return False
 
     def full_retract(self, y, u, t):
         return y + t * u
@@ -106,9 +96,6 @@ class FactoredSpsd(Manifold):
         y = rng.gaussian(self.n, self.p)
         return y / np.linalg.norm(y)
 
-    def random_tangent(self, y, rng: SplitMix64):
-        return rng.gaussian(self.n, self.p)
-
     def rank_ok(self, y, rtol: float = 1e-10) -> bool:
         """Construction-time rank monitor for the factor."""
         _, sigma, _ = thin_svd(y)
@@ -124,10 +111,6 @@ class SpdBuresWasserstein(Manifold):
         self.n = descriptor.dims[0]
         self._basis = [Pair(i, j) for i in range(self.n) for j in range(i, self.n)]
 
-    @property
-    def ambient_shape(self):
-        return (self.n, self.n)
-
     def feasibility_residual(self, x):
         self.check_shape(x)
         return float(np.linalg.norm(x - x.T))
@@ -142,19 +125,13 @@ class SpdBuresWasserstein(Manifold):
     def carrier_flops(self):
         return 2 * self.n * self.n
 
-    def enumerate_basis(self):
-        return self._basis
-
     def coordinate_derivative_from_carrier(self, x, d, l):
         i, j = l
         if i == j:
             return 4.0 * float(np.dot(x[i], d[i]))
         return 2.0 * (float(np.dot(x[j], d[i])) + float(np.dot(x[i], d[j])))
 
-    def coordinate_retract(self, x, l, t, inplace=False):
-        out = x if inplace else x.copy()
-        if t == 0.0:
-            return out, False
+    def _retract(self, out, l, t):
         i, j = l
         # (I + t E_ij) X (I + t E_ij): rows are built once and mirrored onto
         # the columns, so the result is symmetric exactly, not on average.
@@ -180,7 +157,7 @@ class SpdBuresWasserstein(Manifold):
             out[j] = new_j
             out[:, i] = new_i
             out[:, j] = new_j
-        return out, False
+        return False
 
     def full_retract(self, x, u, t):
         """BW exponential: X + tU + S X S with S solving S X + X S = t U."""
@@ -216,10 +193,6 @@ class SpdBuresWasserstein(Manifold):
     def random_point(self, rng: SplitMix64):
         a = rng.gaussian(self.n, self.n)
         return (a @ a.T) / self.n + np.eye(self.n)
-
-    def random_tangent(self, x, rng: SplitMix64):
-        z = rng.gaussian(self.n, self.n)
-        return z + z.T
 
     def min_eigenvalue(self, x) -> float:
         _, lam = sym_eig(0.5 * (x + x.T))

@@ -43,10 +43,6 @@ class Stiefel(Manifold):
         self.n, self.p = descriptor.dims
         self._basis = enumerate_pairs(self.n)
 
-    @property
-    def ambient_shape(self):
-        return (self.n, self.p)
-
     def feasibility_residual(self, x):
         self.check_shape(x)
         return float(np.linalg.norm(x.T @ x - np.eye(self.p)))
@@ -54,18 +50,14 @@ class Stiefel(Manifold):
     def riemannian_gradient(self, x, g):
         return g - x @ _sym(x.T @ g)
 
-    def enumerate_basis(self):
-        return self._basis
-
     def coordinate_derivative_from_carrier(self, x, d, l):
         i, j = l
         return float(d[i].dot(x[j]) - d[j].dot(x[i]))
 
-    def coordinate_retract(self, x, l, t, inplace=False):
-        if t == 0.0:
-            return (x if inplace else x.copy()), False
+    def _retract(self, out, l, t):
         i, j = l
-        return apply_rotation(x, i, j, t, "left", "circular", inplace), False
+        apply_rotation(out, i, j, t, "left", "circular", inplace=True)
+        return False
 
     def full_retract(self, x, u, t):
         q, _ = thin_qr(x + t * u)
@@ -93,10 +85,6 @@ class Stiefel(Manifold):
     def random_point(self, rng: SplitMix64):
         q, _ = thin_qr(rng.gaussian(self.n, self.p))
         return q
-
-    def random_tangent(self, x, rng: SplitMix64):
-        z = rng.gaussian(self.n, self.p)
-        return z - x @ _sym(x.T @ z)
 
 
 class Grassmann(Stiefel):

@@ -70,9 +70,6 @@ class Symplectic(Manifold):
         w = v @ ((v.T @ rhs @ v) / denom) @ v.T
         return g - omega_apply(x) @ w
 
-    def enumerate_basis(self):
-        return self._basis
-
     def _orow(self, x, k):
         """Row k of O x without forming the product."""
         n = self.n
@@ -84,14 +81,11 @@ class Symplectic(Manifold):
             return 2.0 * float(np.dot(d[i], self._orow(x, i)))
         return float(np.dot(d[i], self._orow(x, j)) + np.dot(d[j], self._orow(x, i)))
 
-    def coordinate_retract(self, x, l, t, inplace=False):
-        out = x if inplace else x.copy()
-        if t == 0.0:
-            return out, False
+    def _retract(self, out, l, t):
         i, j = l
         if j == i + self.n:
             if abs(t) > 500.0:
-                raise RuntimeError(
+                raise OverflowError(
                     f"scaling step overflow (|t|={abs(t):.3g}): reduce the stepsize"
                 )
             out[i] = math.exp(-t) * out[i]
@@ -103,7 +97,7 @@ class Symplectic(Manifold):
             new_j = out[j] + t * self._orow(out, i)
             out[i] = new_i
             out[j] = new_j
-        return out, False
+        return False
 
     def full_retract(self, x, u, t):
         from scipy.linalg import expm
@@ -146,10 +140,6 @@ class Symplectic(Manifold):
             x[k, k] = 1.0
             x[n + k, p + k] = 1.0
         return x
-
-    def random_tangent(self, x, rng: SplitMix64):
-        s = rng.gaussian(2 * self.n, 2 * self.n)
-        return (s + s.T) @ omega_apply(x) * 0.5
 
 
 def tangent_symmetric_parameter(x: np.ndarray, u: np.ndarray) -> np.ndarray:

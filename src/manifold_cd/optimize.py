@@ -291,6 +291,11 @@ def run_epochs(man: Manifold, obj: Objective, x0: np.ndarray, cfg: OptimizerConf
     with np.errstate(over="ignore", invalid="ignore"):
         while k < cfg.epochs:
             eta_k = eta if cfg.eta_decay == 0.0 else eta / (1.0 + cfg.eta_decay * k)
+            if probe_bw:
+                epoch_start = x.copy()
+                mark = (trace.oracle_calls, trace.oracle_flops, trace.update_flops,
+                        trace.instrumentation_flops, trace.clamped_steps,
+                        len(trace.records))
             epoch_grad = None
             epoch_feas = None
             if cfg.grad_log_every and k % cfg.grad_log_every == 0:
@@ -301,10 +306,6 @@ def run_epochs(man: Manifold, obj: Objective, x0: np.ndarray, cfg: OptimizerConf
             if (cfg.stop_grad_tol > 0.0
                     and man.gradient_norm(x, obj.euclid_grad(x)) <= cfg.stop_grad_tol):
                 break
-            if probe_bw:
-                epoch_start = x.copy()
-                flops_mark = (trace.oracle_calls, trace.oracle_flops, trace.update_flops,
-                              len(trace.records))
             try:
                 for s, l in enumerate(epoch_labels(cfg.selection, labels, n_inner, rng)):
                     if fresh_oracle or s == 0:
@@ -337,7 +338,8 @@ def run_epochs(man: Manifold, obj: Objective, x0: np.ndarray, cfg: OptimizerConf
                 eta *= 0.5
                 trace.eta_used = eta
                 x = epoch_start
-                trace.oracle_calls, trace.oracle_flops, trace.update_flops, nrec = flops_mark
+                (trace.oracle_calls, trace.oracle_flops, trace.update_flops,
+                 trace.instrumentation_flops, trace.clamped_steps, nrec) = mark
                 del trace.records[nrec:]
                 continue
             if cfg.renormalize_every and (k + 1) % cfg.renormalize_every == 0:

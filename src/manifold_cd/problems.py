@@ -234,25 +234,15 @@ def make_ds_quadratic(m: int, n: int, seed: int):
 def initial_point(spec: ProblemSpec) -> np.ndarray:
     """Deterministic initializer: a fixed function of the problem seed.
 
-    Stiefel/Grassmann start at the q-factor of a seeded Gaussian; the
-    symplectic family at the canonical column selection of the identity; the
-    transport polytope at the product coupling mu nu'; the factored family at
-    a unit-norm seeded Gaussian factor.
+    The transport polytope starts at the product coupling mu nu'; every other
+    family at its ``random_point`` drawn from the seed (the q-factor of a
+    Gaussian on Stiefel/Grassmann, the canonical column selection of the
+    identity on the symplectic family, a unit-norm Gaussian factor on the
+    factored family).
     """
-    man = make_manifold(spec.descriptor)
-    rng = SplitMix64(spec.seed ^ 0x5EED)
-    family = spec.descriptor.family
-    if family in ("stiefel", "grassmann"):
-        q, _ = thin_qr(rng.gaussian(*man.ambient_shape))
-        return q
-    if family == "symplectic":
-        return man.random_point(rng)
-    if family == "doubly_stochastic":
+    if spec.descriptor.family == "doubly_stochastic":
         return np.outer(spec.descriptor.mu, spec.descriptor.nu)
-    if family == "spsd_factored":
-        y = rng.gaussian(*man.ambient_shape)
-        return y / np.linalg.norm(y)
-    return man.random_point(rng)
+    return make_manifold(spec.descriptor).random_point(SplitMix64(spec.seed ^ 0x5EED))
 
 
 def build_problem(name: str, n: int, p: int, seed: int, cond: float = 1e3,

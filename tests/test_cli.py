@@ -4,6 +4,7 @@ import json
 import os
 import subprocess
 import sys
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -313,6 +314,17 @@ def test_grid_honours_planted():
     scores = [grid_search("nearest-symplectic", 4, 3, 9, cfg, etas=(0.02,),
                           planted=planted)[1] for planted in (False, True)]
     assert scores[0] != scores[1]
+
+
+def test_grid_keeps_every_config_field():
+    # a tolerance the start meets stops every run before its first step, so
+    # each stepsize scores the starting value
+    cfg = OptimizerConfig(algorithm="rcdlin", epochs=5, eta=0.1, seed=0)
+    stopped = replace(cfg, stop_grad_tol=1e3)
+    moved, still = [grid_search("pca", 8, 2, 0, c, etas=(0.1, 0.4))[1]
+                    for c in (cfg, stopped)]
+    assert moved[0][1] != moved[1][1]
+    assert still[0][1] == still[1][1] > max(f for _, f in moved)
 
 
 _COLD_START = """

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from manifold_cd import ManifoldDescriptor, make_manifold
+from manifold_cd.manifolds import Manifold
 from manifold_cd.rng import SplitMix64
 
 CASES = [
@@ -193,3 +194,22 @@ def test_feasibility_residual_examples():
     assert np.isclose(st.feasibility_residual(1.1 * x), 0.21 * np.sqrt(3.0))
     hy = make_manifold(ManifoldDescriptor("hyperbolic", (2, 1)))
     assert hy.feasibility_residual(np.array([[1.0], [0.0]])) == 0.0
+
+
+def test_families_write_only_their_own_update():
+    """The copy, the zero step, the basis list, the tangent draw and the
+    shape live once, in ``Manifold``; a family supplies ``_retract``."""
+    classes = {type(make_manifold(ManifoldDescriptor(f, d))) for f, d in CASES}
+    for cls in classes:
+        for klass in cls.__mro__[:cls.__mro__.index(Manifold)]:
+            own = set(vars(klass))
+            assert not own & {"coordinate_retract", "enumerate_basis", "random_tangent"}, klass
+            assert ("ambient_shape" in own) == (klass.family == "symplectic"), klass
+
+
+def test_list_dims_give_tuple_shape():
+    desc = ManifoldDescriptor("stiefel", [6, 2])
+    assert desc.dims == (6, 2)
+    man = make_manifold(desc)
+    assert man.ambient_shape == (6, 2)
+    man.check_shape(man.random_point(SplitMix64(1)))

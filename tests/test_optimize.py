@@ -141,20 +141,31 @@ class TestEngine:
             run_rcd(man, obj, x0, cfg)
         assert err.value.k == 0 and err.value.s == 3
 
-    @pytest.mark.parametrize("algo, runner", [("rcd", run_rcd), ("rcdlin", run_rcdlin)])
-    def test_hyperbolic_rotation_overflow_aborts_with_location(self, algo, runner):
+    @pytest.mark.parametrize("algo, runner, family, dims, scale, eta, s", [
+        pytest.param("rcd", run_rcd, "hyperbolic", (5, 1), 5.0, 0.7, 1,
+                     id="rcd-run_rcd"),
+        pytest.param("rcdlin", run_rcdlin, "hyperbolic", (5, 1), 5.0, 0.7, 1,
+                     id="rcdlin-run_rcdlin"),
+        pytest.param("rcd", run_rcd, "symplectic", (3, 1), 50.0, 5.0, 3,
+                     id="symplectic-rcd-run_rcd"),
+        pytest.param("rcdlin", run_rcdlin, "symplectic", (3, 1), 50.0, 5.0, 3,
+                     id="symplectic-rcdlin-run_rcdlin"),
+    ])
+    def test_hyperbolic_rotation_overflow_aborts_with_location(
+            self, algo, runner, family, dims, scale, eta, s):
         # a far target and a large stepsize drive the hyperbolic angle past
-        # what math.cosh can represent on the second step
-        man = make_manifold(ManifoldDescriptor("hyperbolic", (5, 1)))
+        # what math.cosh can represent on the second step, and the first
+        # symplectic scaling pair (step 3) past |t| = 500
+        man = make_manifold(ManifoldDescriptor(family, dims))
         x0 = man.random_point(SplitMix64(0))
-        a = 5.0 * SplitMix64(1).gaussian(5, 1)
+        a = scale * SplitMix64(1).gaussian(*man.ambient_shape)
         obj = Objective(value=lambda x: float(np.sum((x - a) ** 2)),
                         euclid_grad=lambda x: 2.0 * (x - a))
-        cfg = OptimizerConfig(algorithm=algo, epochs=50, eta=0.7,
+        cfg = OptimizerConfig(algorithm=algo, epochs=50, eta=eta,
                               selection="cyclic", seed=0)
-        with pytest.raises(OptimizeAbort, match="epoch 0, inner step 1") as err:
+        with pytest.raises(OptimizeAbort, match=f"epoch 0, inner step {s}") as err:
             runner(man, obj, x0, cfg)
-        assert err.value.k == 0 and err.value.s == 1
+        assert err.value.k == 0 and err.value.s == s
         assert isinstance(err.value.__cause__, OverflowError)
 
     def test_returned_iterate_feasible(self):
@@ -346,6 +357,19 @@ class TestBaselines:
         x, trace = run_rcd(man, obj, x0, cfg)
         assert man.min_eigenvalue(x) > 0.0
         assert trace.final_f() < 1e-8
+
+    def test_bw_halving_retry_charges_each_epoch_log_once(self):
+        # eta 4 fails the definiteness probe and is halved 8 times; a retried
+        # epoch's gradient-norm log replaces the failed attempt's
+        man = make_manifold(ManifoldDescriptor("spd_bures_wasserstein", (4, 4)))
+        target = np.diag([5.0, 4.0, 3.0, 2.0])
+        obj = Objective(value=lambda x: float(np.sum((x - target) ** 2)),
+                        euclid_grad=lambda x: 2.0 * (x - target), grad_flops=16)
+        cfg = OptimizerConfig(algorithm="rcd", epochs=5, eta=4.0, selection="random",
+                              seed=0, trace="epoch", grad_log_every=1)
+        _, trace = run_rcd(man, obj, np.eye(4), cfg)
+        assert trace.eta_used == 4.0 / 2**8
+        assert trace.instrumentation_flops == 5 * 16
 
     def test_bw_divergent_stepsize_aborts_cleanly(self):
         # coordinate steps are congruences, so definiteness survives any

@@ -241,6 +241,13 @@ class TestSymplectic:
             assert np.allclose(out, np.diag([math.exp(-t), math.exp(t)]))
             assert man.feasibility_residual(out) <= 1e-14
 
+    def test_scaling_overflow_leaves_point_untouched(self):
+        # a cross-pair step past |t| = 500 overflows before any write
+        y = self.x.copy()
+        with pytest.raises(OverflowError):
+            self.man.coordinate_retract(y, Pair(1, 4), -600.0, inplace=True)
+        assert np.array_equal(y, self.x)
+
     def test_omega_matrix_consistency(self):
         m = SplitMix64(63).gaussian(6, 4)
         assert np.array_equal(omega_apply(m), omega_matrix(3) @ m)
