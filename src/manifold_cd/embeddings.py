@@ -35,7 +35,8 @@ import numpy as np
 from .flops import ZERO_DERIVATIVE_SKIP
 from .linalg import ROTATIONS, rotate_rows
 from .manifolds import Hyperbolic, Manifold, ManifoldDescriptor, lift_to_hyperboloid
-from .optimize import Objective, OptimizerConfig, coordinate_basis, run_epochs
+from .optimize import (Objective, OptimizeAbort, OptimizerConfig, coordinate_basis,
+                       run_epochs)
 from .rng import SplitMix64
 
 GRAD_GUARD = 1e-8
@@ -213,26 +214,27 @@ def _sweep(pairs: list):
     """The engine step: one pass over the row pairs, rotating every word at
     once.  Under the anchored gradient the words are independent columns, each
     seeing a word-by-word sweep's operations in order.  A pair charges 4 flops
-    per word and 6 per moving word; an angle above 500 raises RuntimeError."""
+    per word and 6 per moving word; an angle above 500 aborts the run, naming
+    the word."""
 
-    def step(x, g, _l, eta, trace, k, _s):
-        overflow = np.zeros(x.shape[1], dtype=bool)
+    def step(x, g, _l, eta, trace, k, s):
         for i, j in pairs:
             theta = g[0] * x[j] + g[j] * x[0] if i == 0 else g[i] * x[j] - g[j] * x[i]
             angle = -eta * theta
-            moving = ~((np.abs(theta) < ZERO_DERIVATIVE_SKIP) | overflow)
-            overflow |= moving & (np.abs(angle) > 500.0)
-            m = np.flatnonzero(moving & ~overflow)
+            moving = ~(np.abs(theta) < ZERO_DERIVATIVE_SKIP)
+            overflow = np.flatnonzero(moving & (np.abs(angle) > 500.0))
+            if overflow.size:
+                w = int(overflow[0])
+                raise OptimizeAbort(k, s, f"rotation angle overflow on word {w} "
+                                          f"(|angle|={abs(angle[w]):.3g})")
+            m = np.flatnonzero(moving)
             trace.update_flops += 4 * x.shape[1] + 6 * m.size
             # time-row pairs rotate hyperbolically; linalg's kernel and its
             # math trig per moving word (np.cosh/np.sinh round differently)
             cos, sin = ROTATIONS["hyperbolic" if i == 0 else "circular"]
             am = angle[m].tolist()
-            c, s = np.array(list(map(cos, am))), np.array(list(map(sin, am)))
-            rotate_rows(x, (i, m), (j, m), c, s, i == 0)
-        if overflow.any():
-            raise RuntimeError(f"rotation angle overflow at epoch {k}, "
-                               f"word {np.flatnonzero(overflow)[0]}: reduce the stepsize")
+            c, sn = np.array(list(map(cos, am))), np.array(list(map(sin, am)))
+            rotate_rows(x, (i, m), (j, m), c, sn, i == 0)
         return x
 
     return step

@@ -62,10 +62,13 @@ class Hyperbolic(Manifold):
         return float(d[i].dot(x[j]) - d[j].dot(x[i]))
 
     def _retract(self, out, l, t):
-        # math.cosh raises OverflowError before either row is written
         i, j = l
         kind = "hyperbolic" if i == 0 else "circular"
-        apply_rotation(out, i, j, t, "left", kind, inplace=True)
+        try:
+            apply_rotation(out, i, j, t, "left", kind, inplace=True)
+        except OverflowError as exc:
+            # math.cosh raised before either row was written
+            raise OverflowError(f"hyperbolic rotation overflow (|t|={abs(t):.3g})") from exc
         return False
 
     def full_retract(self, x, u, t):

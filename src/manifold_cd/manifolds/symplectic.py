@@ -85,9 +85,7 @@ class Symplectic(Manifold):
         i, j = l
         if j == i + self.n:
             if abs(t) > 500.0:
-                raise OverflowError(
-                    f"scaling step overflow (|t|={abs(t):.3g}): reduce the stepsize"
-                )
+                raise OverflowError(f"scaling step overflow (|t|={abs(t):.3g})")
             out[i] = math.exp(-t) * out[i]
             out[j] = math.exp(t) * out[j]
         elif i == j:

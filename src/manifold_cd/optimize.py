@@ -17,6 +17,19 @@ ladder, so every optimizer honours the same configuration.  With S = 1 and
 randomized selection rcd and rcdlin are the same algorithm, and for
 constant-gradient objectives they coincide for any S, bitwise.
 
+Pivot-row runs.  ``rcdlin`` with cyclic selection on the Stiefel or
+Grassmann family, unless the trace records every step, takes each epoch in one
+``pivot_row_sweep`` call.  Under the anchored gradient a cyclic sweep is a
+chain of runs (i, i+1), ..., (i, n-1) on one pivot row, each partner row
+moving once per run, so a run reads its d[i].x[j] terms in one ``np.vecdot``
+and writes its partner rows in one batch at its end.  It is bitwise the
+label-by-label path: the same products and sums in the same order, and
+``np.vecdot`` of contiguous rows rounds as the per-row ``ndarray.dot`` does
+(``@`` does not).  Every other config (``rcd``, the randomized rules,
+``trace="step"``, the other families, the Lorentz trainer) steps label by
+label through ``coordinate_step``, the reference the run path is tested
+against.
+
 Selection rules, one lazy label stream per epoch (``epoch_labels``): cyclic
 (position s mod |I| in enumeration order), random (uniform, rejection-sampled),
 without-replacement (a fresh uniform permutation per |I| block), and
@@ -57,12 +70,14 @@ TRACES = ("step", "epoch", "none")
 
 
 class OptimizeAbort(RuntimeError):
-    """Raised when the objective turns non-finite; carries the step (k, s)."""
+    """Raised when a run cannot go on (a non-finite objective or derivative, a
+    refused retraction); carries the step (k, s) and the reason."""
 
-    def __init__(self, k: int, s: int, what: str):
-        super().__init__(f"non-finite {what} at epoch {k}, inner step {s}")
+    def __init__(self, k: int, s: int, reason: str):
+        super().__init__(f"{reason} at epoch {k}, inner step {s}")
         self.k = k
         self.s = s
+        self.reason = reason
 
 
 @dataclass
@@ -165,7 +180,7 @@ def epoch_labels(rule: str, labels: list, n_inner: int, rng: SplitMix64):
 
 def _check_finite(v: float, k: int, s: int, what: str) -> float:
     if not math.isfinite(v):
-        raise OptimizeAbort(k, s, what)
+        raise OptimizeAbort(k, s, f"non-finite {what}")
     return v
 
 
@@ -203,8 +218,8 @@ def coordinate_step(man: Manifold, anchored_steps: int = 0):
             try:
                 x, clamped = man.coordinate_retract(x, l, t, inplace=True)
             except OverflowError as exc:
-                # math.cosh/exp overflow before any row is written
-                raise OptimizeAbort(k, s, "coordinate retraction") from exc
+                # refused before any row is written; the family names the overflow
+                raise OptimizeAbort(k, s, str(exc)) from exc
             trace.update_flops += uflops
             if clamped:
                 trace.clamped_steps += 1
@@ -216,6 +231,78 @@ def coordinate_step(man: Manifold, anchored_steps: int = 0):
     return step
 
 
+def pivot_row_runs(labels: list, n_inner: int):
+    """The runs of a cyclic epoch, as a function that yields them lazily:
+    (s0, i, j0, j1) for each maximal stretch of the stream that, from inner
+    step s0, steps the labels (i, j0), (i, j0+1), ..., (i, j1-1).  The stream
+    repeats ``labels`` from its start every epoch (``epoch_labels``); the
+    epoch's end and the sweep's wrap cut a run, so at n = 2, where the label
+    (0, 1) repeats, every run is one step long."""
+    cycle: list[list[int]] = []
+    for s, (i, j) in enumerate(labels):
+        if cycle and cycle[-1][1] == i and cycle[-1][3] == j:
+            cycle[-1][3] = j + 1
+        else:
+            cycle.append([s, i, j, j + 1])
+
+    def epoch():
+        for start in range(0, n_inner, max(len(labels), 1)):
+            for s0, i, j0, j1 in cycle:
+                s0 += start
+                if s0 >= n_inner:
+                    return
+                yield s0, i, j0, min(j1, j0 + n_inner - s0)
+
+    return epoch
+
+
+def pivot_row_sweep(man: Manifold, labels: list, n_inner: int):
+    """One anchored cyclic epoch on the Stiefel or Grassmann family, run by
+    run: ``coordinate_step``'s arithmetic, bitwise, in fewer numpy calls.
+
+    Within a run (i, j0..j1-1) every partner row is read before it moves and
+    moves once, and the anchored carrier d does not move.  So d[i].x[j] is one
+    ``np.vecdot`` for the run (bitwise the per-row dot), a step updates only
+    the pivot row, and the partners' halves c*x[j] - s*x[i] (x[i] as it was
+    before that step) are written as one batch when the run ends."""
+    runs = pivot_row_runs(labels, n_inner)
+    dflops, uflops = man.flop_parts(labels[0]) if labels else (0, 0)
+    scale = man.step_scale
+
+    def sweep(x, d, eta, trace, k):
+        t_per_theta = -scale * eta
+        for s0, i, j0, j1 in runs():
+            partners = x[j0:j1]
+            a = np.vecdot(d[i], partners).tolist()
+            xi = x[i]
+            moving = 0
+            moved, cs, ss, pivots = [], [], [], []
+            for s, j, aj, dj, xj in zip(range(s0, s0 + j1 - j0), range(j0, j1), a,
+                                        d[j0:j1], partners):
+                theta = aj - float(dj.dot(xi))
+                if not math.isfinite(theta):
+                    raise OptimizeAbort(k, s, "non-finite coordinate derivative")
+                if abs(theta) >= ZERO_DERIVATIVE_SKIP:
+                    moving += 1
+                    t = t_per_theta * theta
+                    if t != 0.0:
+                        c, sn = math.cos(t), math.sin(t)
+                        moved.append(j)
+                        cs.append(c)
+                        ss.append(sn)
+                        pivots.append(xi)
+                        xi = c * xi + sn * xj
+            trace.update_flops += (j1 - j0) * dflops + moving * uflops
+            if moved:
+                c = np.array(cs)[:, None]
+                sn = np.array(ss)[:, None]
+                x[moved] = c * x[moved] - sn * np.array(pivots)
+                x[i] = xi
+        return x
+
+    return sweep
+
+
 def run_rcd(man: Manifold, obj: Objective, x0: np.ndarray, cfg: OptimizerConfig):
     labels = coordinate_basis(man, cfg.selection)
     return run_epochs(man, obj, x0, cfg, labels, coordinate_step(man),
@@ -224,8 +311,14 @@ def run_rcd(man: Manifold, obj: Objective, x0: np.ndarray, cfg: OptimizerConfig)
 
 def run_rcdlin(man: Manifold, obj: Objective, x0: np.ndarray, cfg: OptimizerConfig):
     labels = coordinate_basis(man, cfg.selection)
-    step = coordinate_step(man, anchored_steps=_inner_steps(cfg, labels))
-    return run_epochs(man, obj, x0, cfg, labels, step, fresh_oracle=False, carrier=True)
+    n_inner = _inner_steps(cfg, labels)
+    step = coordinate_step(man, anchored_steps=n_inner)
+    sweep = None
+    if (cfg.selection == "cyclic" and cfg.trace != "step"
+            and man.family in ("stiefel", "grassmann")):
+        sweep = pivot_row_sweep(man, labels, n_inner)
+    return run_epochs(man, obj, x0, cfg, labels, step, fresh_oracle=False, carrier=True,
+                      sweep=sweep)
 
 
 def run_rgd(man: Manifold, obj: Objective, x0: np.ndarray, cfg: OptimizerConfig):
@@ -267,12 +360,15 @@ def optimize(man: Manifold, obj: Objective, x0: np.ndarray, cfg: OptimizerConfig
 
 
 def run_epochs(man: Manifold, obj: Objective, x0: np.ndarray, cfg: OptimizerConfig,
-               labels: list, step, fresh_oracle: bool, carrier: bool = False):
+               labels: list, step, fresh_oracle: bool, carrier: bool = False,
+               sweep=None):
     """The epoch loop of every optimizer.  ``step(x, d, l, eta, trace, k, s)``
     takes the step at label ``l``, charges its update flops and returns the
     new point; ``d`` is the oracle's output, the derivative carrier with
     ``carrier`` set and the Euclidean gradient otherwise.  The oracle runs
     before every step when ``fresh_oracle`` is set, else once per epoch.
+    ``sweep(x, d, eta, trace, k)``, given only with the oracle once per epoch
+    and no per-step records, takes all of an epoch's steps in one call.
     """
     man.check_shape(x0)
     n_inner = _inner_steps(cfg, labels)
@@ -288,6 +384,24 @@ def run_epochs(man: Manifold, obj: Objective, x0: np.ndarray, cfg: OptimizerConf
     eta = cfg.eta
     halvings = 0
     k = 0
+
+    def oracle(x):
+        g = obj.euclid_grad(x)
+        trace.oracle_calls += 1
+        trace.oracle_flops += oracle_flops
+        return man.derivative_carrier(x, g) if carrier else g
+
+    def record(x, s):
+        fval = _check_finite(obj.value(x), k, s, "objective")
+        wall = time.monotonic_ns() - t0 if cfg.log_wall else None
+        logs = s == 0 or cfg.trace == "epoch"
+        trace.records.append(IterationRecord(
+            k, s, fval,
+            epoch_grad if logs else None,
+            epoch_feas if logs else None,
+            trace.total_flops, wall,
+        ))
+
     with np.errstate(over="ignore", invalid="ignore"):
         while k < cfg.epochs:
             eta_k = eta if cfg.eta_decay == 0.0 else eta / (1.0 + cfg.eta_decay * k)
@@ -307,23 +421,18 @@ def run_epochs(man: Manifold, obj: Objective, x0: np.ndarray, cfg: OptimizerConf
                     and man.gradient_norm(x, obj.euclid_grad(x)) <= cfg.stop_grad_tol):
                 break
             try:
-                for s, l in enumerate(epoch_labels(cfg.selection, labels, n_inner, rng)):
-                    if fresh_oracle or s == 0:
-                        g = obj.euclid_grad(x)
-                        d = man.derivative_carrier(x, g) if carrier else g
-                        trace.oracle_calls += 1
-                        trace.oracle_flops += oracle_flops
-                    x = step(x, d, l, eta_k, trace, k, s)
-                    if cfg.trace == "step" or (cfg.trace == "epoch" and s == n_inner - 1):
-                        fval = _check_finite(obj.value(x), k, s, "objective")
-                        wall = time.monotonic_ns() - t0 if cfg.log_wall else None
-                        logs = s == 0 or cfg.trace == "epoch"
-                        trace.records.append(IterationRecord(
-                            k, s, fval,
-                            epoch_grad if logs else None,
-                            epoch_feas if logs else None,
-                            trace.total_flops, wall,
-                        ))
+                if sweep is not None:
+                    if n_inner:
+                        x = sweep(x, oracle(x), eta_k, trace, k)
+                        if cfg.trace == "epoch":
+                            record(x, n_inner - 1)
+                else:
+                    for s, l in enumerate(epoch_labels(cfg.selection, labels, n_inner, rng)):
+                        if fresh_oracle or s == 0:
+                            d = oracle(x)
+                        x = step(x, d, l, eta_k, trace, k, s)
+                        if cfg.trace == "step" or (cfg.trace == "epoch" and s == n_inner - 1):
+                            record(x, s)
                 probe_failed = probe_bw and man.min_eigenvalue(x) <= 0.0
             except OptimizeAbort:
                 # on the BW family a mid-epoch overflow counts as a failed
@@ -333,7 +442,8 @@ def run_epochs(man: Manifold, obj: Objective, x0: np.ndarray, cfg: OptimizerConf
                 probe_failed = True
             if probe_failed:
                 if halvings >= 30:
-                    raise OptimizeAbort(k, 0, "definiteness probe after 30 stepsize halvings")
+                    raise OptimizeAbort(
+                        k, 0, "definiteness probe failed after 30 stepsize halvings")
                 halvings += 1
                 eta *= 0.5
                 trace.eta_used = eta

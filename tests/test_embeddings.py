@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from manifold_cd import embeddings
+from manifold_cd.bench import grid_search
 from manifold_cd.embeddings import (
     GRAD_GUARD,
     edge_separation,
@@ -288,6 +289,19 @@ def test_non_finite_loss_aborts(monkeypatch):
     prob, cfg = _desk(epochs=2)
     with pytest.raises(OptimizeAbort):
         train(prob, cfg)
+
+
+def test_angle_overflow_aborts_with_location():
+    # eta 0.2 drives word 3's angle past 500 in the second sweep of epoch 8
+    prob = make_lorentz_embed(3, 10, 3)
+    cfg = OptimizerConfig(algorithm="rcdlin", epochs=30, eta=0.2, inner=2,
+                          selection="time-cyclic", seed=3, trace="epoch")
+    with pytest.raises(OptimizeAbort, match="epoch 8, inner step 1") as err:
+        train(prob, cfg)
+    assert (err.value.k, err.value.s) == (8, 1)
+    assert err.value.reason.startswith("rotation angle overflow on word 3 (|angle|=")
+    _, scored = grid_search("lorentz", 3, 10, 3, cfg, etas=(0.05, 0.2))
+    assert math.isfinite(scored[0][1]) and scored[1][1] == math.inf
 
 
 def test_trace_none_and_wall_clock():

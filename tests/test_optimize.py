@@ -141,18 +141,18 @@ class TestEngine:
             run_rcd(man, obj, x0, cfg)
         assert err.value.k == 0 and err.value.s == 3
 
-    @pytest.mark.parametrize("algo, runner, family, dims, scale, eta, s", [
+    @pytest.mark.parametrize("algo, runner, family, dims, scale, eta, s, reason", [
         pytest.param("rcd", run_rcd, "hyperbolic", (5, 1), 5.0, 0.7, 1,
-                     id="rcd-run_rcd"),
+                     "hyperbolic rotation overflow", id="rcd-run_rcd"),
         pytest.param("rcdlin", run_rcdlin, "hyperbolic", (5, 1), 5.0, 0.7, 1,
-                     id="rcdlin-run_rcdlin"),
+                     "hyperbolic rotation overflow", id="rcdlin-run_rcdlin"),
         pytest.param("rcd", run_rcd, "symplectic", (3, 1), 50.0, 5.0, 3,
-                     id="symplectic-rcd-run_rcd"),
+                     "scaling step overflow", id="symplectic-rcd-run_rcd"),
         pytest.param("rcdlin", run_rcdlin, "symplectic", (3, 1), 50.0, 5.0, 3,
-                     id="symplectic-rcdlin-run_rcdlin"),
+                     "scaling step overflow", id="symplectic-rcdlin-run_rcdlin"),
     ])
     def test_hyperbolic_rotation_overflow_aborts_with_location(
-            self, algo, runner, family, dims, scale, eta, s):
+            self, algo, runner, family, dims, scale, eta, s, reason):
         # a far target and a large stepsize drive the hyperbolic angle past
         # what math.cosh can represent on the second step, and the first
         # symplectic scaling pair (step 3) past |t| = 500
@@ -167,6 +167,10 @@ class TestEngine:
             runner(man, obj, x0, cfg)
         assert err.value.k == 0 and err.value.s == s
         assert isinstance(err.value.__cause__, OverflowError)
+        # the message names the overflow, not a non-finite value
+        message = str(err.value)
+        assert message.startswith(f"{reason} (|t|=") and "non-finite" not in message
+        assert err.value.reason == str(err.value.__cause__)
 
     def test_returned_iterate_feasible(self):
         man, obj, x0, _ = _pca_setup()

@@ -41,6 +41,18 @@ RUNS = [
     ("--problem pca --n 12 --p 4 --algo rcdlin --select without-replacement --eta 0.2 "
      "--epochs 30 --seed 3 --grad-log 2 --feas-log 3",
      "2f82381df08fe64408d7d9060eef167baa2f44c8938cd86bdbd0bc0a5e6bb8dc"),
+    # rcdlin cyclic at trace=epoch: the pivot-row run path; an inner count that
+    # cuts the runs and wraps the sweep; n = 2, where the label (0, 1) repeats
+    ("--problem pca --n 12 --p 4 --algo rcdlin --select cyclic --trace epoch --eta 0.2 "
+     "--epochs 30 --seed 3 --grad-log 2 --feas-log 3",
+     "ff9ebbec29207f8ea79f55f4ee721ed80238c0d135ad5624210066b64d10a9ee"),
+    ("--problem pca --n 12 --p 4 --algo rcdlin --select cyclic --trace epoch --eta 0.2 "
+     "--epochs 30 --seed 3 --grad-log 2 --feas-log 3 --inner 7",
+     "2c8599116da4eba4e2991c1f782c4102b8e9e23bfa0edff785c6ec4b13a0e888"),
+    (f"{DESK} --algo rcdlin --trace epoch --inner 250",
+     "3bb1ebb756f42db36627d32bb4368f2975c00f1c6673861440ece629ab20a341"),
+    ("--problem pca --n 2 --p 1 --algo rcdlin --trace epoch --inner 3 --epochs 5",
+     "7b1bf5f123d864aca67ddf1fd2277444bd564542c4e205560839fbcec22f8704"),
     ("lorentz-desk --trace step", "1b6c49299ab6a15c903d2859bcc6568ac83898df671099fbad7a0f622e2b4b51"),
     ("lorentz-desk --select cyclic",
      "d7b81ac67e417bbd73e82725a919bff827f35b8272cce34edb3d2b111763c924"),
