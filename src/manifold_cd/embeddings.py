@@ -40,6 +40,7 @@ from .optimize import (Objective, OptimizeAbort, OptimizerConfig, coordinate_bas
 from .rng import SplitMix64
 
 GRAD_GUARD = 1e-8
+NEGATIVES_PER_WORD = 5
 
 
 @dataclass
@@ -52,8 +53,7 @@ class HierarchyProblem:
     pair_table: tuple | None = field(default=None, init=False, repr=False, compare=False)
 
 
-def make_lorentz_embed(n_dim: int, n_words: int, seed: int,
-                       negatives_per_word: int = 5) -> HierarchyProblem:
+def make_lorentz_embed(n_dim: int, n_words: int, seed: int) -> HierarchyProblem:
     """Seeded random tree over n_words nodes plus per-word negative samples."""
     if n_dim < 2:
         raise ValueError("need n_dim >= 2")
@@ -73,7 +73,7 @@ def make_lorentz_embed(n_dim: int, n_words: int, seed: int,
     for u in range(n_words):
         pool = [w for w in range(n_words) if w != u and w not in adjacent[u]]
         chosen: list[int] = []
-        k = min(negatives_per_word, len(pool))
+        k = min(NEGATIVES_PER_WORD, len(pool))
         while len(chosen) < k:
             cand = pool[rng.below(len(pool))]
             if cand not in chosen:
@@ -91,13 +91,6 @@ def initial_embedding(prob: HierarchyProblem) -> np.ndarray:
         v[0, 0] = 0.0
         x[:, u] = lift_to_hyperboloid(v).reshape(-1)
     return x
-
-
-def hyperbolic_distance(a: np.ndarray, b: np.ndarray) -> float:
-    z = -float(-a[0] * b[0] + np.dot(a[1:], b[1:]))
-    if z < 1.0 + 1e-12:
-        return 0.0
-    return math.acosh(z)
 
 
 def _pair_table(prob: HierarchyProblem):
@@ -255,13 +248,3 @@ def train(prob: HierarchyProblem, cfg: OptimizerConfig):
                       _sweep(coordinate_basis(points.point, cfg.selection)),
                       fresh_oracle=False)
 
-
-def edge_separation(prob: HierarchyProblem, x: np.ndarray) -> tuple[float, float]:
-    """(mean distance over tree edges, mean distance over the negative pairs)."""
-    edge_d = [hyperbolic_distance(x[:, u], x[:, v]) for u, v in prob.edges]
-    neg_d = [
-        hyperbolic_distance(x[:, u], x[:, w])
-        for u in prob.negatives
-        for w in prob.negatives[u]
-    ]
-    return float(np.mean(edge_d)), float(np.mean(neg_d))

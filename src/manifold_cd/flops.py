@@ -5,7 +5,7 @@ CLI.  The model is deliberately simple and fully auditable:
 
 * every scalar add/sub/mul/div counts as 1 flop;
 * every transcendental evaluation (sin, cos, cosh, sinh, exp, log, arccosh,
-  sqrt) counts as TRANSCENDENTAL = 8 flops;
+  sqrt) counts as 8 flops;
 * a coordinate update's cost is split into a *derivative* part (computing
   theta from the gradient) and an *update* part (applying the retraction);
   when a step is skipped because |theta| < ZERO_DERIVATIVE_SKIP, only the
@@ -23,27 +23,12 @@ CLI.  The model is deliberately simple and fully auditable:
   feasibility logging) is off the ledger and itemized separately, so logging
   cadence never distorts cost curves.
 
-Per-update formulas by family and coordinate label (n, p are the descriptor
-dims; symplectic ambient is 2n x 2p so rows have width 2p):
-
-    stiefel / grassmann     pair (i,j)      derivative 4p         update 6p
-    hyperbolic              pair (i,j)      derivative 4p         update 6p
-    symplectic (widths 2p)  pair i < j      derivative 8p         update 8p
-                            diagonal i = j  derivative 4p+1       update 4p+1
-                            scaling j = i+n derivative 8p         update 4p+17
-    doubly stochastic       entry           derivative 3          update 122
-    multinomial             entry           derivative 1          update 26
-    factored SPSD           entry           derivative 1          update 2
-    SPD (BW metric)         pair i < j      derivative 4n+2       update 4n+17
-                            diagonal i = j  derivative 2n+1       update n+4
-    columnwise stiefel      pair (i,j)      derivative 4n         update 6n
-                            column k        derivative 4np+n      update 6n+9
+The per-update formulas by family and coordinate label are the table that
+``render_table`` prints (``manifold-cd flops``); each family's
+``flop_parts`` implements its row.
 """
 
 from __future__ import annotations
-
-SCALAR = 1
-TRANSCENDENTAL = 8
 
 # Steps with |theta| below this are skipped: the retraction returns the input
 # bitwise and only the derivative flops are charged.

@@ -114,12 +114,6 @@ def apply_disjoint_rotations(
     return out
 
 
-def frobenius_inner(a: np.ndarray, b: np.ndarray) -> float:
-    if a.shape != b.shape:
-        raise ValueError(f"shape mismatch {a.shape} vs {b.shape}")
-    return float(np.dot(a.reshape(-1), b.reshape(-1)))
-
-
 def thin_qr(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Thin QR with the R diagonal forced non-negative (unique for full rank)."""
     m, n = a.shape

@@ -22,9 +22,10 @@ optimizers that reuse a gradient across many inner steps (the linearized
 variant) pay for it once per refresh.  ``coordinate_derivative_from_carrier``
 then reads theta from the carrier and the current point.
 
-``materialize_basis`` builds B_l densely; it exists only so tests can check
-the closed forms against frobenius_inner(carrier, B_l) and is never on the
-hot path.
+``materialize_basis`` builds B_l densely for the retraction-axiom and
+locality checks (acceptance criteria 4 and 5) and for checking the closed
+forms against the Frobenius pairing of the gradient with B_l; it is never on
+the hot path.
 
 All operations are pure unless ``inplace=True`` is passed to a retraction,
 in which case the caller must hold the array exclusively.  With t = 0 the
@@ -45,7 +46,6 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from ..indices import CoordinateIndex
-from ..linalg import frobenius_inner
 from ..rng import SplitMix64
 
 FAMILIES = (
@@ -215,27 +215,11 @@ class Manifold(ABC):
     # documented form.
     step_scale: float = 1.0
 
-    # -- test utilities ----------------------------------------------------
-
     @abstractmethod
     def materialize_basis(self, x: np.ndarray, l: CoordinateIndex) -> np.ndarray: ...
 
-    def reference_gradient(self, x: np.ndarray, g: np.ndarray) -> np.ndarray:
-        """Array whose Frobenius pairing with the materialized basis gives
-        theta (the gradient in the point's own representation space)."""
-        return g
-
-    def coordinate_derivative_reference(
-        self, x: np.ndarray, g: np.ndarray, l: CoordinateIndex
-    ) -> float:
-        return frobenius_inner(self.reference_gradient(x, g), self.materialize_basis(x, l))
-
     @abstractmethod
     def random_point(self, rng: SplitMix64) -> np.ndarray: ...
-
-    def random_tangent(self, x: np.ndarray, rng: SplitMix64) -> np.ndarray:
-        """Seeded tangent vector at x: the Riemannian gradient of a Gaussian."""
-        return self.riemannian_gradient(x, rng.gaussian(*self.gradient_shape))
 
 
 def make_manifold(descriptor: ManifoldDescriptor) -> Manifold:

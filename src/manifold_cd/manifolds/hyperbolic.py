@@ -9,13 +9,12 @@ Lorentz constraint exactly up to roundoff.
 Note on dimensions: the Lorentz form has a single timelike direction, so the
 constraint -X' J X = I_p admits real solutions only for p = 1 (no two
 J-orthogonal columns can both be timelike-normalized).  The formulas below
-are valid for any (n, p) -- the rotation and Cayley maps preserve X' J X
-whatever its value -- and the feasible family is exercised at p = 1.
-``random_point`` therefore refuses p > 1.
+are valid for any (n, p) -- the rotations preserve X' J X whatever its
+value -- and the feasible family is exercised at p = 1.  ``random_point``
+therefore refuses p > 1.
 
-scipy is imported inside ``Hyperbolic.full_retract`` and
-``hyperbolic_cayley_retract``, the only callers of ``expm`` and the LU
-solver, so coordinate-descent runs never pay for loading it.
+scipy is imported inside ``Hyperbolic.full_retract``, the only caller of
+``expm``, so coordinate-descent runs never pay for loading it.
 """
 
 from __future__ import annotations
@@ -135,24 +134,3 @@ def tangent_skew_parameter(x: np.ndarray, u: np.ndarray) -> np.ndarray:
     jx = apply_j(x)
     p_x = np.eye(n) + 0.5 * jx @ x.T
     return x @ u.T @ p_x - p_x.T @ u @ x.T
-
-
-def hyperbolic_cayley_retract(x: np.ndarray, u: np.ndarray, t: float) -> np.ndarray:
-    """Cayley-transform retraction (I - t/2 WJ)^-1 (I + t/2 WJ) x."""
-    from scipy.linalg import lu_factor, lu_solve
-
-    n = x.shape[0]
-    w = tangent_skew_parameter(x, u)
-    wj = w * _j_diag(n)[np.newaxis, :]
-    a = np.eye(n) - 0.5 * t * wj
-    b = (np.eye(n) + 0.5 * t * wj) @ x
-    # dense LU with partial pivoting; reject near-singular systems
-    lu, piv = lu_factor(a)
-    if np.min(np.abs(np.diagonal(lu))) < 1e-12:
-        raise np.linalg.LinAlgError("Cayley step rejected: system is singular")
-    return lu_solve((lu, piv), b)
-
-
-def hyperbolic_canonical_gradient(x: np.ndarray, g: np.ndarray) -> np.ndarray:
-    """Gradient under the canonical-type metric: -J g - x g' x."""
-    return -apply_j(g) - x @ (g.T @ x)

@@ -21,7 +21,7 @@ from __future__ import annotations
 import numpy as np
 
 from ..indices import Entry, Pair
-from ..linalg import sym_eig, thin_svd
+from ..linalg import sym_eig
 from ..rng import SplitMix64
 from .base import Manifold
 
@@ -68,9 +68,6 @@ class FactoredSpsd(Manifold):
         i, j = l
         return float(d[0][i, j])
 
-    def reference_gradient(self, y, g):
-        return (g + g.T) @ y
-
     def _retract(self, y, l, t):
         y[l] += t
         return False
@@ -95,11 +92,6 @@ class FactoredSpsd(Manifold):
     def random_point(self, rng: SplitMix64):
         y = rng.gaussian(self.n, self.p)
         return y / np.linalg.norm(y)
-
-    def rank_ok(self, y, rtol: float = 1e-10) -> bool:
-        """Construction-time rank monitor for the factor."""
-        _, sigma, _ = thin_svd(y)
-        return bool(sigma[-1] > rtol * sigma[0])
 
 
 class SpdBuresWasserstein(Manifold):

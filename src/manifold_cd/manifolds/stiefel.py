@@ -22,7 +22,7 @@ import math
 import numpy as np
 
 from ..indices import Column, CoordinateIndex, Pair
-from ..linalg import apply_rotation, thin_qr, thin_svd
+from ..linalg import apply_rotation, thin_qr
 from ..rng import SplitMix64
 from .base import Manifold
 
@@ -92,37 +92,6 @@ class Grassmann(Stiefel):
 
     def riemannian_gradient(self, x, g):
         return g - x @ (x.T @ g)
-
-
-# -- canonical-metric helpers (exposed for the derivative-equality check) ---
-
-
-def stiefel_canonical_gradient(x: np.ndarray, g: np.ndarray) -> np.ndarray:
-    """Gradient under the canonical metric <u, (I - xx'/2) v>."""
-    return g - x @ (g.T @ x)
-
-
-def stiefel_canonical_inner(x: np.ndarray, u: np.ndarray, v: np.ndarray) -> float:
-    return float(np.sum(u * v) - 0.5 * np.sum((x.T @ u) * (x.T @ v)))
-
-
-def grassmann_distance(x: np.ndarray, y: np.ndarray) -> float:
-    """Subspace distance: 2-norm of the principal angles between spans.
-
-    Small angles come from the sine (singular values of the residual
-    Y - X X'Y), large ones from the cosine; arccos alone loses half the
-    digits near zero angle.
-    """
-    if x.shape != y.shape:
-        raise ValueError(f"shape mismatch {x.shape} vs {y.shape}")
-    c = x.T @ y
-    _, cos_sig, _ = thin_svd(c)
-    _, sin_sig, _ = thin_svd(y - x @ c)
-    cos_sig = np.clip(cos_sig, -1.0, 1.0)
-    sin_asc = np.clip(sin_sig[::-1], 0.0, 1.0)
-    angles = np.where(cos_sig >= math.sqrt(0.5),
-                      np.arcsin(sin_asc), np.arccos(cos_sig))
-    return float(np.linalg.norm(angles))
 
 
 # -- column-wise baseline ----------------------------------------------------

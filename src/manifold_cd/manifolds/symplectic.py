@@ -173,13 +173,11 @@ def symplectic_block_step(
 ):
     """One block coordinate step.
 
-    ``block`` is "upper_left", "lower_right", "diag_cross", or a tuple
-    ("diag_cross", u, v) giving the cross-diagonal direction explicitly.
-    Corner blocks move additively along E O x with E the matrix of coordinate
-    derivatives over the block (exactly symplectic: the generator is
-    nilpotent).  The cross-diagonal block applies the reciprocal scaling
-    diag(exp(-t u), exp(t v)); when the direction is derived from the
-    gradient, u = v = the cross-pair derivative vector, so feasibility is
+    ``block`` is "upper_left", "lower_right" or "diag_cross".  Corner blocks
+    move additively along E O x with E the matrix of coordinate derivatives
+    over the block (exactly symplectic: the generator is nilpotent).  The
+    cross-diagonal block applies the reciprocal scaling diag(exp(-t u),
+    exp(t u)) with u the cross-pair derivative vector, so feasibility is
     exact.
     """
     n = x.shape[0] // 2
@@ -193,12 +191,9 @@ def symplectic_block_step(
         m = -(g[n:] @ x[:n].T)  # lower-right block of G (O X)'
         out[n:] = out[n:] - t * ((m + m.T) @ x[:n])
         return out
-    if block == "diag_cross":
-        u = v = symplectic_cross_derivatives(x, g)
-    elif isinstance(block, tuple) and block[0] == "diag_cross":
-        u, v = np.asarray(block[1], float), np.asarray(block[2], float)
-    else:
+    if block != "diag_cross":
         raise ValueError(f"unknown block {block!r}")
+    u = symplectic_cross_derivatives(x, g)
     out[:n] = np.exp(-t * u)[:, None] * out[:n]
-    out[n:] = np.exp(t * v)[:, None] * out[n:]
+    out[n:] = np.exp(t * u)[:, None] * out[n:]
     return out

@@ -10,9 +10,7 @@ from manifold_cd import embeddings
 from manifold_cd.bench import grid_search
 from manifold_cd.embeddings import (
     GRAD_GUARD,
-    edge_separation,
     euclid_grad,
-    hyperbolic_distance,
     initial_embedding,
     loss,
     make_lorentz_embed,
@@ -21,6 +19,7 @@ from manifold_cd.embeddings import (
 from manifold_cd.manifolds import ManifoldDescriptor, lift_to_hyperboloid, make_manifold
 from manifold_cd.optimize import OptimizeAbort, OptimizerConfig
 from manifold_cd.problems import PRESETS
+from reference import edge_separation, hyperbolic_distance
 
 
 def _column_feasibility(x):

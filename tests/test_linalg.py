@@ -9,12 +9,12 @@ from manifold_cd.linalg import (
     RankDeficiencyError,
     apply_disjoint_rotations,
     apply_rotation,
-    frobenius_inner,
     sym_eig,
     thin_qr,
     thin_svd,
 )
 from manifold_cd.rng import SplitMix64
+from reference import frobenius_inner
 
 
 class TestApplyRotation:

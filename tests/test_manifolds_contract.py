@@ -8,6 +8,7 @@ import pytest
 from manifold_cd import ManifoldDescriptor, make_manifold
 from manifold_cd.manifolds import Manifold
 from manifold_cd.rng import SplitMix64
+from reference import coordinate_derivative_reference, random_tangent
 
 CASES = [
     ("stiefel", (9, 4)),
@@ -56,7 +57,7 @@ def test_derivative_matches_materialized_basis(family_case):
     g = SplitMix64(72).gaussian(*man.gradient_shape)
     for l in man.enumerate_basis():
         theta = man.coordinate_derivative(x, g, l)
-        ref = man.coordinate_derivative_reference(x, g, l)
+        ref = coordinate_derivative_reference(man, x, g, l)
         assert abs(theta - ref) <= 1e-13 * max(1.0, abs(ref))
 
 
@@ -72,7 +73,7 @@ def test_retract_t0_bitwise(family_case):
     for l in man.enumerate_basis():
         out, _ = man.coordinate_retract(x, l, 0.0)
         assert np.array_equal(out, x)
-    u = man.random_tangent(x, SplitMix64(73))
+    u = random_tangent(man, x, SplitMix64(73))
     assert np.max(np.abs(man.full_retract(x, u, 0.0) - x)) <= 1e-14
 
 

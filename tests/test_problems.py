@@ -13,7 +13,6 @@ from manifold_cd.bench import (
     wls_structured_flops,
 )
 from manifold_cd.linalg import thin_svd
-from manifold_cd.manifolds.stiefel import grassmann_distance
 from manifold_cd.optimize import OptimizerConfig, run_rcd, run_rcdlin, run_rgd
 from manifold_cd.problems import (
     PRESETS,
@@ -28,6 +27,7 @@ from manifold_cd.problems import (
     optimality_gap,
 )
 from manifold_cd.rng import SplitMix64
+from reference import grassmann_distance
 
 
 ALL_PROBLEMS = [

