@@ -312,7 +312,7 @@ def run_symplectic_block_cd(spec: ProblemSpec, obj: Objective, x0: np.ndarray,
     def step(x, g, l, eta, trace, k, s):
         if isinstance(l, str):
             trace.update_flops += costs[l]
-            return symplectic_block_step(x, l, eta, g, inplace=True)
+            return symplectic_block_step(x, l, eta, g)
         return pair_step(x, g, l, eta, trace, k, s)
 
     labels = list(costs) + [Pair(i, n + j) for i in range(n) for j in range(n) if j != i]

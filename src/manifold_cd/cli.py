@@ -10,8 +10,10 @@ Subcommands:
 
 Flags may also come from a flat JSON config file (``--config``); explicit
 command-line flags override file values, and unknown keys in the file are
-rejected, as are file values of the wrong type.  Exit codes: 0 success, 1
-runtime failure, 2 usage error.
+rejected, as are file values of the wrong type.  Exit codes: 0 success; 2
+when argparse rejects the command line; 1 otherwise: a runtime failure, a
+failed ``verify`` criterion, an unknown preset and, until configuration checks
+get exit 2 (ROADMAP item 9), every configuration check.
 """
 
 from __future__ import annotations
@@ -69,7 +71,7 @@ def _merge_config(args) -> dict:
     if getattr(args, "config", None):
         with open(args.config, encoding="utf-8") as fh:
             file_vals = json.load(fh)
-        unknown = set(file_vals) - set(_RUN_KEYS) - {"grid"}
+        unknown = set(file_vals) - set(_RUN_KEYS)
         if unknown:
             raise ValueError(f"unknown config keys: {sorted(unknown)}")
         for key, val in file_vals.items():

@@ -193,9 +193,6 @@ class HyperboloidColumns:
     def feasibility_residual(self, x: np.ndarray) -> float:
         return math.hypot(*map(self.point.feasibility_residual, np.hsplit(x, x.shape[1])))
 
-    def renormalize(self, x: np.ndarray) -> np.ndarray:
-        return np.hstack([self.point.renormalize(c) for c in np.hsplit(x, x.shape[1])])
-
 
 def objective(prob: HierarchyProblem) -> Objective:
     """The training loss and gradient, looked up in this module when called."""

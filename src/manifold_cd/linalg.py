@@ -81,15 +81,14 @@ def apply_rotation(
 def apply_disjoint_rotations(
     x: np.ndarray,
     batch: list[tuple],
-    inplace: bool = False,
 ) -> np.ndarray:
-    """Apply a batch of left rotations whose index pairs are pairwise disjoint.
+    """A copy of ``x`` with a batch of left rotations applied, their index
+    pairs pairwise disjoint.
 
     Disjoint rows commute exactly in floating point, so the result is bitwise
     identical to sequential application in any order; each kind's entries
     are executed as one vectorized gather/scatter.  Batch entries are
-    (i, j, theta) or (i, j, theta, kind); kind defaults to "circular".  The
-    whole batch is validated before ``x`` is touched.
+    (i, j, theta) or (i, j, theta, kind); kind defaults to "circular".
     """
     groups: dict[str, list] = {kind: [] for kind in ROTATIONS}
     seen: set[int] = set()
@@ -103,7 +102,7 @@ def apply_disjoint_rotations(
         seen.add(i)
         seen.add(j)
         groups[kind].append(entry)
-    out = x if inplace else x.copy()
+    out = x.copy()
     for kind, group in groups.items():
         cos, sin = ROTATIONS[kind]
         ii = np.array([e[0] for e in group], dtype=np.intp)

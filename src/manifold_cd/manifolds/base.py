@@ -188,13 +188,6 @@ class Manifold(ABC):
     @abstractmethod
     def full_retract(self, x: np.ndarray, u: np.ndarray, t: float) -> np.ndarray: ...
 
-    def renormalize(self, x: np.ndarray) -> np.ndarray:
-        """Best-effort feasibility restoration for very long runs (updates are
-        exactly feasible up to roundoff, so optimizers apply this only on an
-        explicit cadence, off by default).  Families without a cheap
-        projection return the input."""
-        return x
-
     # -- cost model --------------------------------------------------------
 
     @abstractmethod

@@ -200,9 +200,6 @@ class DoublyStochastic(Manifold):
         b[i:i + 2, j:j + 2] = _BLOCK_SIGNS
         return b
 
-    def renormalize(self, x):
-        return full_sinkhorn(np.maximum(x, 1e-300), self.mu, self.nu)
-
     def random_point(self, rng: SplitMix64):
         u = np.exp(0.3 * rng.gaussian(self.m, self.n))
         return full_sinkhorn(u, self.mu, self.nu)
@@ -271,10 +268,6 @@ class Multinomial(Manifold):
         b[i, j] = 1.0
         b[i, j + 1] = -1.0
         return b
-
-    def renormalize(self, x):
-        w = np.maximum(x, 1e-300)
-        return w / w.sum(axis=1, keepdims=True)
 
     def random_point(self, rng: SplitMix64):
         w = np.exp(0.5 * rng.gaussian(self.n, self.p))

@@ -93,15 +93,6 @@ class Hyperbolic(Manifold):
         b[j] = -jx[i]
         return b
 
-    def renormalize(self, x):
-        # rescale each column to satisfy its quadric exactly
-        out = x.copy()
-        for k in range(self.p):
-            val = out[0, k] ** 2 - float(np.dot(out[1:, k], out[1:, k]))
-            if val > 0.0:
-                out[:, k] /= np.sqrt(val)
-        return out
-
     def random_point(self, rng: SplitMix64):
         if self.p != 1:
             raise ValueError(

@@ -179,9 +179,6 @@ class SpdBuresWasserstein(Manifold):
             e[j, i] = 1.0
         return e @ x + x @ e
 
-    def renormalize(self, x):
-        return 0.5 * (x + x.T)
-
     def random_point(self, rng: SplitMix64):
         a = rng.gaussian(self.n, self.n)
         return (a @ a.T) / self.n + np.eye(self.n)

@@ -78,10 +78,6 @@ class Stiefel(Manifold):
         b[j] = -x[i]
         return b
 
-    def renormalize(self, x):
-        q, _ = thin_qr(x)
-        return q
-
     def random_point(self, rng: SplitMix64):
         q, _ = thin_qr(rng.gaussian(self.n, self.p))
         return q
@@ -108,16 +104,17 @@ def tsd_pair_derivative(x: np.ndarray, g: np.ndarray, i: int, j: int) -> float:
     return float(np.dot(g[:, j], x[:, i]) - np.dot(g[:, i], x[:, j]))
 
 
-def tsd_pair_step(x, i, j, eta, g, inplace=False):
+def tsd_pair_step(x, i, j, eta, g):
+    """Column-pair rotation step on ``x``, in place."""
     theta = tsd_pair_derivative(x, g, i, j)
     if theta == 0.0:
-        return (x if inplace else x.copy()), theta
+        return x, theta
     # X @ G_ij(-eta*theta) recombines columns with the opposite sign convention
-    return apply_rotation(x, i, j, eta * theta, "right", "circular", inplace), theta
+    return apply_rotation(x, i, j, eta * theta, "right", "circular", inplace=True), theta
 
 
-def tsd_column_step(x, k, eta, g, inplace=False):
-    """Sphere step on column k along the projected gradient.
+def tsd_column_step(x, k, eta, g):
+    """Sphere step on column k along the projected gradient, in place.
 
     Skipped when the projected gradient norm is below 1e-14 (the sphere
     exponential is singular at zero).
@@ -125,11 +122,10 @@ def tsd_column_step(x, k, eta, g, inplace=False):
     gk = g[:, k]
     v = -eta * (gk - x @ (x.T @ gk))
     r = float(np.linalg.norm(v))
-    out = x if inplace else x.copy()
     if r < 1e-14:
-        return out, 0.0
-    out[:, k] = math.cos(r) * x[:, k] + (math.sin(r) / r) * v
-    return out, r
+        return x, 0.0
+    x[:, k] = math.cos(r) * x[:, k] + (math.sin(r) / r) * v
+    return x, r
 
 
 def tsd_flop_parts(l: CoordinateIndex, n: int, p: int) -> tuple[int, int]:

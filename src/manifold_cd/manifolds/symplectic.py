@@ -169,9 +169,8 @@ def symplectic_block_step(
     block,
     eta: float,
     g: np.ndarray,
-    inplace: bool = False,
 ):
-    """One block coordinate step.
+    """One block coordinate step on ``x``, in place.
 
     ``block`` is "upper_left", "lower_right" or "diag_cross".  Corner blocks
     move additively along E O x with E the matrix of coordinate derivatives
@@ -181,19 +180,18 @@ def symplectic_block_step(
     exact.
     """
     n = x.shape[0] // 2
-    out = x if inplace else x.copy()
     t = -eta
     if block == "upper_left":
         m = g[:n] @ x[n:].T  # upper-left block of G (O X)'
-        out[:n] = out[:n] + t * ((m + m.T) @ x[n:])
-        return out
+        x[:n] = x[:n] + t * ((m + m.T) @ x[n:])
+        return x
     if block == "lower_right":
         m = -(g[n:] @ x[:n].T)  # lower-right block of G (O X)'
-        out[n:] = out[n:] - t * ((m + m.T) @ x[:n])
-        return out
+        x[n:] = x[n:] - t * ((m + m.T) @ x[:n])
+        return x
     if block != "diag_cross":
         raise ValueError(f"unknown block {block!r}")
     u = symplectic_cross_derivatives(x, g)
-    out[:n] = np.exp(-t * u)[:, None] * out[:n]
-    out[n:] = np.exp(t * u)[:, None] * out[n:]
-    return out
+    x[:n] = np.exp(-t * u)[:, None] * x[:n]
+    x[n:] = np.exp(t * u)[:, None] * x[n:]
+    return x

@@ -11,9 +11,9 @@ Every optimizer, and the Lorentz trainer in ``embeddings``, is one epoch loop
 * ``tsd``     the column-wise Stiefel baseline (column-pair rotations plus
   per-column sphere steps), the gradient refreshed before every step.
 
-The loop owns the stepsize schedule, the log cadences, the early stop, the
-renormalization cadence, the records, the finite checks and the BW halving
-ladder, so every optimizer honours the same configuration.  With S = 1 and
+The loop owns the stepsize schedule, the log cadences, the records, the
+finite checks and the BW halving ladder, so every optimizer honours the same
+configuration.  A run always completes its K epochs or aborts.  With S = 1 and
 randomized selection rcd and rcdlin are the same algorithm, and for
 constant-gradient objectives they coincide for any S, bitwise.
 
@@ -107,8 +107,6 @@ class OptimizerConfig:
     feas_log_every: int = 0    # epochs between feasibility logs (0 = never)
     log_wall: bool = False
     trace: str = "step"        # "step", "epoch", or "none"
-    stop_grad_tol: float = 0.0  # early stop on epoch-start |grad| (0 = off)
-    renormalize_every: int = 0  # epochs between feasibility restorations (0 = off)
 
     def __post_init__(self):
         if self.algorithm not in ALGORITHMS:
@@ -125,11 +123,9 @@ class OptimizerConfig:
             raise ValueError("eta must be finite and positive")
         if not (math.isfinite(self.eta_decay) and self.eta_decay >= 0.0):
             raise ValueError("eta_decay must be finite and >= 0")
-        for name in ("grad_log_every", "feas_log_every", "renormalize_every"):
+        for name in ("grad_log_every", "feas_log_every"):
             if getattr(self, name) < 0:
                 raise ValueError(f"{name} must be >= 0")
-        if not (math.isfinite(self.stop_grad_tol) and self.stop_grad_tol >= 0.0):
-            raise ValueError("stop_grad_tol must be finite and >= 0")
 
 
 @dataclass(slots=True)
@@ -152,7 +148,6 @@ class Trace:
     instrumentation_flops: int = 0
     clamped_steps: int = 0
     eta_used: float = 0.0
-    epochs: int = 0  # epochs completed: fewer than K after an early stop
 
     @property
     def total_flops(self) -> int:
@@ -343,9 +338,9 @@ def run_tsd(man: Manifold, obj: Objective, x0: np.ndarray, cfg: OptimizerConfig)
         dflops, uflops = tsd_flop_parts(l, n, p)
         trace.update_flops += dflops
         if isinstance(l, Pair):
-            x, moved = tsd_pair_step(x, l.i, l.j, eta, g, inplace=True)
+            x, moved = tsd_pair_step(x, l.i, l.j, eta, g)
         else:
-            x, moved = tsd_column_step(x, l.k, eta, g, inplace=True)
+            x, moved = tsd_column_step(x, l.k, eta, g)
         if moved != 0.0:
             trace.update_flops += uflops
         return x
@@ -417,9 +412,6 @@ def run_epochs(man: Manifold, obj: Objective, x0: np.ndarray, cfg: OptimizerConf
                 trace.instrumentation_flops += obj.grad_flops
             if cfg.feas_log_every and k % cfg.feas_log_every == 0:
                 epoch_feas = man.feasibility_residual(x)
-            if (cfg.stop_grad_tol > 0.0
-                    and man.gradient_norm(x, obj.euclid_grad(x)) <= cfg.stop_grad_tol):
-                break
             try:
                 if sweep is not None:
                     if n_inner:
@@ -452,10 +444,7 @@ def run_epochs(man: Manifold, obj: Objective, x0: np.ndarray, cfg: OptimizerConf
                  trace.instrumentation_flops, trace.clamped_steps, nrec) = mark
                 del trace.records[nrec:]
                 continue
-            if cfg.renormalize_every and (k + 1) % cfg.renormalize_every == 0:
-                x = man.renormalize(x)
             k += 1
-    trace.epochs = k
     return x, trace
 
 
@@ -488,8 +477,7 @@ class FlopAuditReport:
 def flop_audit(trace: Trace, man: Manifold, cfg: OptimizerConfig) -> FlopAuditReport:
     """Decompose a trace's cost into oracle and update parts and check the
     oracle-call count: K*S for the per-step-gradient algorithms, K for the
-    anchored and full-gradient ones, with K the epochs the run completed and
-    S from the labels the run sweeps."""
+    anchored and full-gradient ones, with S from the labels the run sweeps."""
     if cfg.algorithm == "rgd":
         n_inner = 1
     else:
@@ -497,10 +485,10 @@ def flop_audit(trace: Trace, man: Manifold, cfg: OptimizerConfig) -> FlopAuditRe
         n_inner = _inner_steps(cfg, coordinate_basis(man, cfg.selection, own))
     # one oracle call per step, or per epoch that takes a step
     per_epoch = n_inner if cfg.algorithm in ("rcd", "tsd") else min(n_inner, 1)
-    expected = trace.epochs * per_epoch
+    expected = cfg.epochs * per_epoch
     return FlopAuditReport(
         algorithm=cfg.algorithm,
-        epochs=trace.epochs,
+        epochs=cfg.epochs,
         inner=n_inner,
         oracle_calls=trace.oracle_calls,
         expected_oracle_calls=expected,

@@ -145,9 +145,6 @@ class SplitMix64:
             raise FloatingPointError("generator produced a non-finite entry")
         return out
 
-    def normal_vector(self, n: int) -> np.ndarray:
-        return self.gaussian(n, 1).reshape(-1)
-
     def uniform_vector(self, n: int) -> np.ndarray:
         out = np.empty(n, dtype=np.float64)
         for lo in range(0, n, _BLOCK):

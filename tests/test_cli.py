@@ -341,14 +341,17 @@ def test_grid_honours_planted():
 
 
 def test_grid_keeps_every_config_field():
-    # a tolerance the start meets stops every run before its first step, so
-    # each stepsize scores the starting value
+    # a stepsize decay moves every final f, so a grid that rebuilt the config
+    # from eta alone would score the undecayed runs
     cfg = OptimizerConfig(algorithm="rcdlin", epochs=5, eta=0.1, seed=0)
-    stopped = replace(cfg, stop_grad_tol=1e3)
-    moved, still = [grid_search("pca", 8, 2, 0, c, etas=(0.1, 0.4))[1]
-                    for c in (cfg, stopped)]
-    assert moved[0][1] != moved[1][1]
-    assert still[0][1] == still[1][1] > max(f for _, f in moved)
+    decayed = replace(cfg, eta_decay=2.0)
+    plain, scored = [grid_search("pca", 8, 2, 0, c, etas=(0.1, 0.4))[1]
+                     for c in (cfg, decayed)]
+    for (eta, f_plain), (_, f) in zip(plain, scored):
+        assert f != f_plain
+        run = run_experiment("pca", 8, 2, 0, replace(decayed, eta=eta, trace="epoch"),
+                             resolve_reference=False)
+        assert f == run.final_f
 
 
 _COLD_START = """

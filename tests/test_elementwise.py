@@ -123,8 +123,8 @@ class TestDoublyStochastic:
         assert np.linalg.norm(self.man.riemannian_gradient(self.x, g)) <= 1e-10
 
     def test_gradient_of_rank_one_shift_vanishes(self):
-        alpha = SplitMix64(92).normal_vector(5)
-        beta = SplitMix64(93).normal_vector(4)
+        alpha = SplitMix64(92).gaussian(5, 1).reshape(-1)
+        beta = SplitMix64(93).gaussian(4, 1).reshape(-1)
         g = alpha[:, None] + beta[None, :]
         assert np.linalg.norm(self.man.riemannian_gradient(self.x, g)) <= 1e-10
 

@@ -258,22 +258,6 @@ def test_feas_log_cadence():
     assert trace.oracle_calls == 7
 
 
-def test_stop_grad_tol_stops_at_first_check():
-    prob, cfg = _desk(stop_grad_tol=1e6)
-    x, trace = train(prob, cfg)
-    assert trace.records == [] and trace.oracle_calls == 0 and trace.epochs == 0
-    assert np.array_equal(x, initial_embedding(prob))
-
-
-def test_renormalization_keeps_columns_feasible():
-    prob, cfg = _desk(renormalize_every=1)
-    x, trace = train(prob, cfg)
-    x_plain, _ = train(prob, _desk()[1])
-    assert not np.array_equal(x, x_plain)
-    assert _column_feasibility(x) <= 1e-12
-    assert trace.final_f() == pytest.approx(loss(prob, x_plain), rel=1e-6)
-
-
 def test_inner_sweeps_share_one_oracle_call():
     prob, cfg = _desk(epochs=4, inner=3, trace="epoch")
     _, trace = train(prob, cfg)

@@ -112,7 +112,7 @@ class TestDisjointBatch:
         for batch in ([(0, 1, 0.3, "hyperbolc"), (2, 3, 0.2)],
                       [(2, 3, 0.2), (0, 1, 0.3, "hyperbolc")]):
             with pytest.raises(ValueError, match="unknown rotation kind"):
-                apply_disjoint_rotations(x, batch, inplace=True)
+                apply_disjoint_rotations(x, batch)
             assert np.array_equal(x, before)
 
 

@@ -1,19 +1,23 @@
 """No test-only API in the package: every exported name, every public
-module-level function and class under ``src/manifold_cd/`` and every public
-method of ``Manifold`` is used by the package itself or by perfbench.
+module-level function and class under ``src/manifold_cd/``, every public
+method of a class there and every ``OptimizerConfig`` field is used by the
+package itself or by perfbench.
 
 A use is a name or attribute reference in the code, read from the syntax
 tree, so a name's own ``def``/``class`` line, the ``__all__`` strings, import
-lines and mentions in docstrings do not count.  Helpers that only the tests
-need live in ``tests/reference.py``."""
+lines and mentions in docstrings do not count.  A config field counts as used
+when it is passed by keyword to ``OptimizerConfig(...)`` or ``replace(...)``.
+Helpers that only the tests need live in ``tests/reference.py``."""
 
 import ast
+from dataclasses import fields
 from pathlib import Path
 
 import pytest
 
 import manifold_cd
 import manifold_cd.manifolds
+from manifold_cd.optimize import OptimizerConfig
 
 ROOT = Path(__file__).resolve().parent.parent
 PACKAGE = ROOT / "src" / "manifold_cd"
@@ -24,9 +28,12 @@ def _trees(*dirs):
             for d in dirs for path in sorted(d.rglob("*.py"))}
 
 
+CALLERS = _trees(PACKAGE, ROOT / "perfbench")
+
+
 def _used_names() -> set[str]:
     used = set()
-    for tree in _trees(PACKAGE, ROOT / "perfbench").values():
+    for tree in CALLERS.values():
         for node in ast.walk(tree):
             if isinstance(node, ast.Name):
                 used.add(node.id)
@@ -35,15 +42,30 @@ def _used_names() -> set[str]:
     return used
 
 
+def _config_keywords() -> set[str]:
+    passed = set()
+    for tree in CALLERS.values():
+        for node in ast.walk(tree):
+            if not isinstance(node, ast.Call):
+                continue
+            func = node.func
+            name = func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
+            if name in ("OptimizerConfig", "replace"):
+                passed.update(kw.arg for kw in node.keywords if kw.arg is not None)
+    return passed
+
+
 def _public_definitions() -> list[str]:
     names = []
-    for path, tree in _trees(PACKAGE).items():
+    for path, tree in CALLERS.items():
+        if not path.is_relative_to(PACKAGE):
+            continue
         module = path.relative_to(PACKAGE).with_suffix("").as_posix().replace("/", ".")
         for node in tree.body:
             if isinstance(node, (ast.FunctionDef, ast.ClassDef)) and not node.name.startswith("_"):
                 names.append(f"{module}.{node.name}")
-            if isinstance(node, ast.ClassDef) and node.name == "Manifold":
-                names += [f"{module}.Manifold.{item.name}" for item in node.body
+            if isinstance(node, ast.ClassDef):
+                names += [f"{module}.{node.name}.{item.name}" for item in node.body
                           if isinstance(item, ast.FunctionDef) and not item.name.startswith("_")]
     return names
 
@@ -51,14 +73,24 @@ def _public_definitions() -> list[str]:
 NAMES = sorted(set(manifold_cd.__all__) | set(manifold_cd.manifolds.__all__)
                | set(_public_definitions()))
 USED = _used_names()
+CONFIG_FIELDS = [f.name for f in fields(OptimizerConfig)]
+CONFIG_KEYWORDS = _config_keywords()
 
 
 def test_the_scan_sees_the_package():
     assert "manifolds.base.Manifold.coordinate_retract" in NAMES
+    assert "rng.SplitMix64.gaussian" in NAMES
     assert "coordinate_retract" in USED
+    assert "trace" in CONFIG_FIELDS and "trace" in CONFIG_KEYWORDS
 
 
 @pytest.mark.parametrize("name", NAMES)
 def test_public_name_has_a_caller_outside_the_tests(name):
     assert name.rsplit(".", 1)[-1] in USED, (
         f"{name} is used only by the tests: move it to tests/reference.py")
+
+
+@pytest.mark.parametrize("field", CONFIG_FIELDS)
+def test_config_field_is_set_outside_the_tests(field):
+    assert field in CONFIG_KEYWORDS, (
+        f"OptimizerConfig.{field} is set only by the tests: make it a constant")

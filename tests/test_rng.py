@@ -112,9 +112,6 @@ class ScalarSplitMix64:
             flat[k] = self.normal()
         return out
 
-    def normal_vector(self, n: int) -> np.ndarray:
-        return self.gaussian(n, 1).reshape(-1)
-
     def uniform_vector(self, n: int) -> np.ndarray:
         out = np.empty(n, dtype=np.float64)
         for k in range(n):
@@ -149,7 +146,6 @@ _CALLS = st.one_of(
     st.tuples(st.just("below"), st.integers(1, 2**64 - 1)),
     st.tuples(st.just("normal")),
     st.tuples(st.just("gaussian"), st.integers(0, 7), st.integers(0, 7)),
-    st.tuples(st.just("normal_vector"), st.integers(0, 21)),
     st.tuples(st.just("uniform_vector"), st.integers(0, 21)),
     st.tuples(st.just("permutation"), st.integers(0, 40)),
 )

@@ -288,14 +288,14 @@ class TestSymplectic:
         f = lambda m: float(np.sum((m - a) ** 2))
         g = 2.0 * (self.x - a)
         for blk in ("upper_left", "lower_right", "diag_cross"):
-            out = symplectic_block_step(self.x, blk, 1e-3, g)
+            out = symplectic_block_step(self.x.copy(), blk, 1e-3, g)
             assert self.man.feasibility_residual(out) <= 1e-10
             assert f(out) < f(self.x)
 
     def test_block_zero_coefficients(self):
         g = np.zeros((6, 4))
         for blk in ("upper_left", "lower_right", "diag_cross"):
-            out = symplectic_block_step(self.x, blk, 0.1, g)
+            out = symplectic_block_step(self.x.copy(), blk, 0.1, g)
             assert np.max(np.abs(out - self.x)) == 0.0
 
     def test_cross_derivatives_match_pairs(self):
@@ -317,14 +317,14 @@ class TestColumnwiseBaseline:
                           Column(0), Column(1), Column(2)]
 
     def test_pair_step_skew_vanishes_for_gradient_x(self):
-        out, theta = tsd_pair_step(self.x, 0, 2, 0.1, self.x)
+        out, theta = tsd_pair_step(self.x.copy(), 0, 2, 0.1, self.x)
         assert abs(theta) <= 1e-14
         assert np.array_equal(out, self.x)
 
     def test_column_step_zero_projected_gradient(self):
         s = SplitMix64(82).gaussian(3, 3)
         g = self.x @ s  # columns in the span: projected gradient is 0
-        out, moved = tsd_column_step(self.x, 1, 0.1, g)
+        out, moved = tsd_column_step(self.x.copy(), 1, 0.1, g)
         assert moved == 0.0
         assert np.array_equal(out[:, 1], self.x[:, 1])
 
@@ -344,7 +344,7 @@ class TestColumnwiseBaseline:
     def test_pair_step_descends_linear_objective(self):
         c = SplitMix64(84).gaussian(7, 3)
         f0 = float(np.sum(c * self.x))
-        out, theta = tsd_pair_step(self.x, 0, 1, 1e-3, c)
+        out, theta = tsd_pair_step(self.x.copy(), 0, 1, 1e-3, c)
         if abs(theta) > 1e-12:
             assert float(np.sum(c * out)) < f0
 
