@@ -17,6 +17,7 @@ import numpy as np
 from . import embeddings
 from .indices import Pair
 from .manifolds import make_manifold
+from .manifolds.spsd import FactoredSpsd
 from .manifolds.symplectic import symplectic_block_step
 from .optimize import (
     IterationRecord,
@@ -206,78 +207,80 @@ def grid_search(
 # -- structured weighted-least-squares runners ----------------------------------
 
 
-def wls_structured_flops(n: int, p: int, density: float, inner: int) -> dict[str, int]:
+def wls_structured_flops(n: int, p: int, density: float) -> dict[str, int]:
     """Masked-sparsity flop model for the weighted-least-squares benchmark.
 
     With a 0/1 mask of density d, the masked residual M = A o (Y Y') - B has
-    about d*n nonzeros per row.  A coordinate step at (i, j) reads one sparse
-    row for theta (2dn), fixes up the masked row/column of M after the
-    single-entry change (2dn plus a diagonal correction), and moves one entry
-    of Y; no dense matrix product is ever formed.  The full-gradient step
-    must rebuild M (d n^2 (2p + 2)) and form the dense factored gradient
-    (2 d n^2 p) every epoch.
+    about d*n nonzeros per row.  Building it once costs ``init``.  A
+    coordinate step at (i, j) reads one sparse row for theta (``cd_read``,
+    2dn), fixes up the masked row/column of M after the single-entry change
+    (2dn plus a diagonal correction) and moves one entry of Y; no dense
+    matrix product is ever formed.  The full-gradient step must rebuild M
+    (d n^2 (2p + 2)) and form the dense factored gradient (2 d n^2 p) every
+    epoch.
     """
     dn = max(1, int(round(density * n)))
     nnz = max(1, int(round(density * n * n)))
-    step = (2 * dn + 2) + (2 * dn + 4) + 2
+    read = 2 * dn + 2
     return {
         "init": nnz * (2 * p + 2),
-        "cd_step": step,
-        "cd_epoch": inner * step,
+        "cd_read": read,
+        "cd_step": read + (2 * dn + 4) + 2,
         "rgd_epoch": nnz * (2 * p + 2) + 2 * nnz * p + 2 * n * p,
     }
+
+
+class MaskedFactoredSpsd(FactoredSpsd):
+    """The factored family priced under the masked-sparsity model: the same
+    arithmetic as ``FactoredSpsd``, whose carrier fix-up adds a dense column
+    of 2 gs y (O(n)), charged as the sparse read and the residual fix-up of
+    the model instead.  The engine's hooks then carry the whole ledger."""
+
+    def __init__(self, descriptor, model: dict[str, int]):
+        super().__init__(descriptor)
+        self.parts = model["cd_read"], model["cd_step"] - model["cd_read"]
+        # the residual rebuild is the oracle's part of a full-gradient epoch
+        self.rgd_update = model["rgd_epoch"] - model["init"]
+
+    def carrier_flops(self):
+        # re-anchoring copies the residual the steps keep exact
+        return 0
+
+    def update_carrier(self, carrier, y, l, t):
+        super().update_carrier(carrier, y, l, t)
+        # priced in the update part of every step, the last one included
+        return 0
+
+    def flop_parts(self, l):
+        return self.parts
+
+    def rgd_flops(self):
+        return self.rgd_update
 
 
 def run_wls_rcdlin_structured(spec: ProblemSpec, y0: np.ndarray,
                               cfg: OptimizerConfig):
     """Anchored-gradient coordinate descent on the masked least-squares
-    problem, charged under the masked-sparsity model above.
-
-    The iterates are those of ``run_rcdlin`` on the factored family, whose
-    carrier fix-up is the incremental masked-residual update; only the
-    ledger differs: the initial residual build, then ``cd_epoch`` per epoch,
-    all counted as oracle flops in K + 1 oracle calls.
-    """
-    _require_epoch_trace(cfg)
+    problem, charged under the masked-sparsity model above: the iterates of
+    ``run_rcdlin`` on the factored family, the residual build as the
+    objective's one-time setup, K oracle calls that copy the residual at no
+    cost, and ``cd_step`` per step."""
     n, p = y0.shape
-    inner = cfg.inner if cfg.inner is not None else n * p
-    model = wls_structured_flops(n, p, spec.params["density"], inner)
-    man = make_manifold(spec.descriptor)
-    y, trace = run_rcdlin(man, weighted_ls_objective(spec), y0, cfg)
-    _charge_per_epoch(trace, model["init"], model["cd_epoch"])
-    trace.oracle_calls += 1
-    return y, trace
+    model = wls_structured_flops(n, p, spec.params["density"])
+    obj = replace(weighted_ls_objective(spec), grad_flops=0, setup_flops=model["init"])
+    return run_rcdlin(MaskedFactoredSpsd(spec.descriptor, model), obj, y0, cfg)
 
 
 def run_wls_rgd_structured(spec: ProblemSpec, obj: Objective, y0: np.ndarray,
                            cfg: OptimizerConfig):
     """Full-gradient baseline on the masked problem: the iterates of
     ``run_rgd`` on the factored family, charged ``rgd_epoch`` per epoch under
-    the same masked-sparsity model (rebuild the residual, form the dense
-    factored gradient, take the additive step)."""
-    _require_epoch_trace(cfg)
+    the same masked-sparsity model (the residual rebuild as the oracle, the
+    dense factored gradient and the additive step as the update)."""
     n, p = y0.shape
-    model = wls_structured_flops(n, p, spec.params["density"], 1)
-    y, trace = run_rgd(make_manifold(spec.descriptor), obj, y0, cfg)
-    _charge_per_epoch(trace, 0, model["rgd_epoch"])
-    return y, trace
-
-
-def _require_epoch_trace(cfg: OptimizerConfig) -> None:
-    if cfg.trace != "epoch":
-        raise ValueError("the structured least-squares runners keep a per-epoch "
-                         "ledger and need trace='epoch'")
-
-
-def _charge_per_epoch(trace: Trace, start: int, per_epoch: int) -> None:
-    """Rewrite the ledger as ``start`` plus ``per_epoch`` for every epoch,
-    one oracle call each, all of it oracle flops."""
-    for r in trace.records:
-        r.flops = start + (r.k + 1) * per_epoch
-    epochs = len(trace.records)
-    trace.oracle_calls = epochs
-    trace.oracle_flops = start + epochs * per_epoch
-    trace.update_flops = 0
+    model = wls_structured_flops(n, p, spec.params["density"])
+    return run_rgd(MaskedFactoredSpsd(spec.descriptor, model),
+                   replace(obj, grad_flops=model["init"]), y0, cfg)
 
 
 # -- symplectic block coordinate descent ---------------------------------------

@@ -197,7 +197,7 @@ class HyperboloidColumns:
 def objective(prob: HierarchyProblem) -> Objective:
     """The training loss and gradient, looked up in this module when called."""
     return Objective(lambda x: loss(prob, x), lambda x: euclid_grad(prob, x),
-                     grad_flop_model(prob), name="lorentz")
+                     grad_flop_model(prob))
 
 
 def _sweep(pairs: list):

@@ -38,14 +38,15 @@ happen as the loop reaches them, so a BW epoch that aborts and is retried
 leaves the generator just past the draws it used.  ``inner`` steps over an
 empty label set are a ValueError; without ``inner`` an epoch takes no step.
 
-Accounting: oracle flops (gradient, plus derivative-carrier construction for
-rcd/rcdlin, charged per invocation), update flops (the published
-per-coordinate model; skipped steps charge only the derivative part) and
-instrumentation flops (objective values, gradient-norm and feasibility
-logs) are tracked separately; the trace's cumulative ``flops`` column is
-oracle + update.  Wall-clock time is sampled from a monotonic clock only
-when ``log_wall`` is set, so by default repeated runs emit byte-identical
-traces.
+Accounting: the loop writes the ledger; a step function only adds to
+``trace.update_flops``.  Oracle flops are the objective's ``setup_flops``,
+charged once as the run starts (not a call, not re-charged by a BW retry),
+plus the gradient and, for rcd/rcdlin, the carrier per invocation.  Update
+flops follow the published per-coordinate model (skipped steps charge only
+the derivative part); instrumentation flops (objective values, gradient-norm
+and feasibility logs) are kept apart.  The ``flops`` column is oracle +
+update.  Wall-clock time is sampled from a monotonic clock only when
+``log_wall`` is set, so by default repeated runs emit byte-identical traces.
 """
 
 from __future__ import annotations
@@ -85,13 +86,14 @@ class Objective:
     """Objective value and Euclidean gradient, plus the oracle's flop cost.
 
     ``grad_flops`` is the published model cost of one gradient evaluation
-    (0 for constant gradients materialized at problem build).
+    (0 for constant gradients materialized at problem build); ``setup_flops``
+    is an oracle cost paid once, before the first epoch, and is not a call.
     """
 
     value: Callable[[np.ndarray], float]
     euclid_grad: Callable[[np.ndarray], np.ndarray]
     grad_flops: int = 0
-    name: str = ""
+    setup_flops: int = 0
 
 
 @dataclass
@@ -372,7 +374,7 @@ def run_epochs(man: Manifold, obj: Objective, x0: np.ndarray, cfg: OptimizerConf
                          "but the label set is empty")
     x = x0.copy()
     rng = SplitMix64(cfg.seed)
-    trace = Trace(eta_used=cfg.eta)
+    trace = Trace(oracle_flops=obj.setup_flops, eta_used=cfg.eta)
     t0 = time.monotonic_ns() if cfg.log_wall else None
     oracle_flops = obj.grad_flops + (man.carrier_flops() if carrier else 0)
     probe_bw = man.family == "spd_bures_wasserstein"

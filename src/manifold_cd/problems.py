@@ -77,7 +77,6 @@ def make_procrustes(n: int, p: int, seed: int):
         value=lambda x: float((x * c).sum()),
         euclid_grad=lambda x: c,
         grad_flops=0,
-        name="procrustes",
     )
     return spec, obj, Reference(f_star, "closed_form", x_star)
 
@@ -110,7 +109,6 @@ def make_pca(n: int, p: int, cond: float, seed: int):
         value=lambda x: -float(np.sum(x * (a @ x))),
         euclid_grad=lambda x: -2.0 * (a @ x),
         grad_flops=grad_flops,
-        name="pca",
     )
     f_star = -float(np.sum(lam[:p]))  # lam is descending: the top-p sum
     return spec, obj, Reference(f_star, "closed_form", reference)
@@ -143,7 +141,6 @@ def make_nearest_symplectic(n: int, p: int, seed: int, planted: bool = False):
         value=lambda x: float(np.sum((x - a) ** 2)),
         euclid_grad=lambda x: 2.0 * (x - a),
         grad_flops=2 * np4,
-        name="nearest-symplectic",
     )
     spec.params["target"] = a
     return spec, obj, ref
@@ -200,7 +197,6 @@ def weighted_ls_objective(spec: ProblemSpec) -> Objective:
         value=lambda y: float(np.sum((mask * (y @ y.T) - b) ** 2)),
         euclid_grad=lambda y: 2.0 * (mask * (y @ y.T) - b),
         grad_flops=2 * n * n * p + 3 * n * n,
-        name="weighted-ls",
     )
 
 
@@ -223,7 +219,6 @@ def make_ds_quadratic(m: int, n: int, seed: int):
         value=lambda x: 0.5 * float(np.sum((x - target) ** 2)),
         euclid_grad=lambda x: x - target,
         grad_flops=m * n,
-        name="ds-quadratic",
     )
     return spec, obj, Reference(None, "none", target)
 

@@ -1,6 +1,8 @@
 """Optimizer engine: selection rules, determinism, flop audit, trace
 semantics, abort policy, and the baselines."""
 
+import dataclasses
+import itertools
 import math
 
 import numpy as np
@@ -390,22 +392,31 @@ class TestConfigValidation:
             OptimizerConfig(**{field: value})
 
 
-def test_flop_ledger_arithmetic_exact():
-    """Cumulative flops equal the hand-computed model totals."""
+@pytest.mark.parametrize("setup", [0, 777])
+def test_flop_ledger_arithmetic_exact(setup):
+    """Cumulative flops equal the hand-computed model totals; an objective's
+    one-time setup charge shows once in the oracle flops and in every
+    record's flops, and never as an oracle call."""
     spec, obj, _ = make_pca(9, 2, 1e3, 4)
+    obj = dataclasses.replace(obj, setup_flops=setup)
     man = make_manifold(spec.descriptor)
     x0 = initial_point(spec)
     epochs, inner = 3, 5
-    for algo, runner in (("rcd", run_rcd), ("rcdlin", run_rcdlin)):
+    basis = man.enumerate_basis()
+    per_step = [man.flop_cost(basis[s % len(basis)]) for s in range(inner)]
+    for (algo, runner), mode in itertools.product(
+            (("rcd", run_rcd), ("rcdlin", run_rcdlin)), ("step", "epoch")):
         cfg = OptimizerConfig(algorithm=algo, epochs=epochs, inner=inner,
                               eta=0.05, selection="cyclic", seed=0,
-                              trace="epoch")
+                              trace=mode)
         _, trace = runner(man, obj, x0, cfg)
-        basis = man.enumerate_basis()
-        picks = [basis[s % len(basis)] for s in range(inner)] * epochs
-        step_total = sum(man.flop_cost(l) for l in picks)
-        oracle_calls = epochs * inner if algo == "rcd" else epochs
-        oracle_total = oracle_calls * (obj.grad_flops + man.carrier_flops())
-        assert trace.update_flops == step_total
-        assert trace.oracle_flops == oracle_total
-        assert trace.records[-1].flops == step_total + oracle_total
+        calls_per_epoch = inner if algo == "rcd" else 1
+        per_call = obj.grad_flops + man.carrier_flops()
+        assert trace.oracle_calls == epochs * calls_per_epoch
+        assert trace.update_flops == epochs * sum(per_step)
+        assert trace.oracle_flops == setup + epochs * calls_per_epoch * per_call
+        for r in trace.records:
+            calls = r.k * calls_per_epoch + (r.s + 1 if algo == "rcd" else 1)
+            steps = r.k * sum(per_step) + sum(per_step[:r.s + 1])
+            assert r.flops == setup + calls * per_call + steps
+        assert trace.records[-1].flops == trace.total_flops

@@ -13,7 +13,7 @@ from manifold_cd.bench import (
     wls_structured_flops,
 )
 from manifold_cd.linalg import thin_svd
-from manifold_cd.optimize import OptimizerConfig, run_rcd, run_rcdlin, run_rgd
+from manifold_cd.optimize import OptimizerConfig, flop_audit, run_rcd, run_rcdlin, run_rgd
 from manifold_cd.problems import (
     PRESETS,
     build_problem,
@@ -245,10 +245,10 @@ class TestWeightedLs:
         y_gen, tr_gen = run_rcdlin(make_manifold(spec.descriptor), obj, y0, cfg)
         assert np.array_equal(y_struct, y_gen)
         assert [r.f for r in tr.records] == [r.f for r in tr_gen.records]
-        model = wls_structured_flops(12, 3, 1.0, 7)
+        model = wls_structured_flops(12, 3, 1.0)
         assert [r.flops for r in tr.records] == [
-            model["init"] + (k + 1) * model["cd_epoch"] for k in range(20)]
-        assert tr.oracle_calls == 21 and tr.update_flops == 0
+            model["init"] + (k + 1) * 7 * model["cd_step"] for k in range(20)]
+        assert tr.oracle_calls == 20 and tr.update_flops == 20 * 7 * model["cd_step"]
         assert tr.total_flops == tr.records[-1].flops
 
         mask, x_star = spec.params["mask"], spec.params["x_star"]
@@ -270,9 +270,10 @@ class TestWeightedLs:
         y_gen, tr_gen = run_rgd(make_manifold(spec.descriptor), obj, y0, cfg)
         assert np.array_equal(y_struct, y_gen)
         assert [r.f for r in tr.records] == [r.f for r in tr_gen.records]
-        per_epoch = wls_structured_flops(12, 3, 1.0, 1)["rgd_epoch"]
+        model = wls_structured_flops(12, 3, 1.0)
+        per_epoch = model["rgd_epoch"]
         assert [r.flops for r in tr.records] == [(k + 1) * per_epoch for k in range(25)]
-        assert tr.oracle_calls == 25 and tr.update_flops == 0
+        assert tr.oracle_calls == 25 and tr.update_flops == 25 * (per_epoch - model["init"])
 
     def test_structured_runner_runs_every_charged_step(self):
         """With more inner steps than coordinates all S steps run, as the
@@ -287,26 +288,44 @@ class TestWeightedLs:
                                   seed=3, trace="epoch")
             y, tr = run_wls_rcdlin_structured(spec, y0, cfg)
             assert np.array_equal(y, run_rcdlin(man, obj, y0, cfg)[0])
-            model = wls_structured_flops(6, 2, 1.0, inner)
-            assert tr.total_flops == model["init"] + 2 * model["cd_epoch"]
+            model = wls_structured_flops(6, 2, 1.0)
+            assert tr.total_flops == model["init"] + 2 * inner * model["cd_step"]
             runs[inner] = y
         assert not np.array_equal(runs[12], runs[30])
 
-    @pytest.mark.parametrize("trace", ["step", "none"])
-    def test_structured_runners_need_epoch_trace(self, trace):
+    @pytest.mark.parametrize("trace", ["step", "epoch", "none"])
+    @pytest.mark.parametrize("algorithm", ["rcdlin", "rgd"])
+    def test_structured_runners_run_every_trace_mode(self, algorithm, trace):
+        """The engine writes the masked model's ledger itself, so every trace
+        mode gives the point and total of trace='epoch', passes the
+        oracle-call audit, and its per-step records at each epoch's end are
+        the per-epoch records."""
         spec, obj, _ = make_weighted_ls(6, 2, 1.0, 3)
         y0 = initial_point(spec)
-        with pytest.raises(ValueError):
-            run_wls_rcdlin_structured(spec, y0, OptimizerConfig(
-                algorithm="rcdlin", epochs=1, trace=trace))
-        with pytest.raises(ValueError):
-            run_wls_rgd_structured(spec, obj, y0, OptimizerConfig(
-                algorithm="rgd", epochs=1, trace=trace))
+        man = make_manifold(spec.descriptor)
+
+        def run(mode):
+            if algorithm == "rgd":
+                cfg = OptimizerConfig(algorithm="rgd", epochs=4, eta=0.1, seed=3,
+                                      trace=mode)
+                return cfg, *run_wls_rgd_structured(spec, obj, y0, cfg)
+            cfg = OptimizerConfig(algorithm="rcdlin", epochs=4, inner=5, eta=0.1,
+                                  selection="without-replacement", seed=3, trace=mode)
+            return cfg, *run_wls_rcdlin_structured(spec, y0, cfg)
+
+        _, y_epoch, tr_epoch = run("epoch")
+        cfg, y, tr = run(trace)
+        assert y.tobytes() == y_epoch.tobytes()
+        assert tr.total_flops == tr_epoch.total_flops
+        assert flop_audit(tr, man, cfg).ok
+        last = tr_epoch.records[-1].s
+        if trace == "step":
+            assert [r for r in tr.records if r.s == last] == tr_epoch.records
 
     def test_flop_model_shapes(self):
-        model = wls_structured_flops(40, 8, 0.7, 64)
-        assert model["rgd_epoch"] > model["cd_epoch"]
-        dense = wls_structured_flops(40, 8, 1.0, 64)
+        model = wls_structured_flops(40, 8, 0.7)
+        assert model["rgd_epoch"] > 64 * model["cd_step"]
+        dense = wls_structured_flops(40, 8, 1.0)
         assert dense["rgd_epoch"] > model["rgd_epoch"]
 
 
@@ -340,12 +359,12 @@ def test_dense_wls_competitive_at_equal_budget():
     spec, obj, _ = make_weighted_ls(40, 40, 1.0, 19)
     y0 = initial_point(spec)
     inner = 40 * 40 // 5
-    model = wls_structured_flops(40, 40, 1.0, inner)
+    model = wls_structured_flops(40, 40, 1.0)
     cfg_rgd = OptimizerConfig(algorithm="rgd", epochs=150, eta=0.25, seed=19,
                               trace="epoch")
     _, tr_rgd = run_wls_rgd_structured(spec, obj, y0, cfg_rgd)
     budget = tr_rgd.total_flops
-    cfg_cd = OptimizerConfig(algorithm="rcdlin", epochs=budget // model["cd_epoch"],
+    cfg_cd = OptimizerConfig(algorithm="rcdlin", epochs=budget // (inner * model["cd_step"]),
                              inner=inner, eta=0.5,
                              selection="without-replacement", seed=19,
                              trace="epoch")
