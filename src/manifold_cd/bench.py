@@ -1,6 +1,7 @@
 """Experiment execution: build a problem by name, run an algorithm on it,
 compute the optimality gap against the problem's reference, and read/write
-CSV traces.
+CSV traces.  A stepsize grid runs every stepsize on one build of the problem
+and its initial point.
 
 CSV contract: header ``k,s,f,grad_norm,feasibility,flops,wall_ns``, one row
 per iteration record, floats rendered with %.17g (lossless round-trip),
@@ -35,6 +36,7 @@ from .problems import (
     ProblemSpec,
     Reference,
     build_problem,
+    check_problem_flags,
     initial_point,
     long_run_reference,
     optimality_gap,
@@ -42,23 +44,6 @@ from .problems import (
 )
 
 CSV_HEADER = "k,s,f,grad_norm,feasibility,flops,wall_ns"
-
-# problem flags read by one problem only: flag -> (that problem, default)
-PROBLEM_FLAGS = {
-    "cond": ("pca", 1e3),
-    "density": ("weighted-ls", 1.0),
-    "planted": ("nearest-symplectic", False),
-}
-
-
-def check_problem_flags(problem: str, **flags) -> None:
-    """Reject a problem flag set away from its default on a problem that
-    does not read it, rather than ignore it silently."""
-    for name, val in flags.items():
-        owner, default = PROBLEM_FLAGS[name]
-        if problem != owner and val != default:
-            raise ValueError(f"--{name} applies only to --problem {owner}, "
-                             f"not {problem}")
 
 
 @dataclass
@@ -122,40 +107,37 @@ def read_trace_csv(path: str) -> list[IterationRecord]:
     return records
 
 
-def run_experiment(
-    problem: str,
-    n: int,
-    p: int,
-    seed: int,
-    cfg: OptimizerConfig,
-    cond: float = 1e3,
-    density: float = 1.0,
-    planted: bool = False,
-    out_path: str | None = None,
-    resolve_reference: bool = True,
-) -> ExperimentResult:
-    check_problem_flags(problem, cond=cond, density=density, planted=planted)
+def _setup(problem: str, n: int, p: int, seed: int, **flags):
+    """(spec, objective, reference, x0, solve) of a named problem, built once;
+    ``solve(cfg)`` runs ``cfg`` from x0.  Lorentz has no objective or x0 here:
+    ``embeddings.train`` builds both."""
     if problem == "lorentz":
+        check_problem_flags(problem, **flags)
         prob = embeddings.make_lorentz_embed(n, p, seed)
-        spec = ProblemSpec("lorentz", None, seed, {"n_words": p})
-        obj, ref = embeddings.objective(prob), Reference(None, "none")
-        x, trace = embeddings.train(prob, cfg)
-    else:
-        spec, obj, ref = build_problem(problem, n, p, seed, cond=cond,
-                                       density=density, planted=planted)
-        x0 = initial_point(spec)
-        x, trace = optimize(make_manifold(spec.descriptor), obj, x0, cfg)
-    final_f = trace.final_f() if trace.records else obj.value(x)
+        return (ProblemSpec("lorentz", None, seed), None, Reference(None, "none"), None,
+                lambda cfg: embeddings.train(prob, cfg))
+    spec, obj, ref = build_problem(problem, n, p, seed, **flags)
+    man = make_manifold(spec.descriptor)
+    x0 = initial_point(spec)
+    return spec, obj, ref, x0, lambda cfg: optimize(man, obj, x0, cfg)
+
+
+def run_experiment(problem: str, n: int, p: int, seed: int, cfg: OptimizerConfig,
+                   out_path: str | None = None, **flags) -> ExperimentResult:
+    """Run ``cfg`` on the named problem (``flags``: its problem flags) and
+    score the final f against the reference, resolving a long-run baseline."""
+    spec, obj, ref, x0, solve = _setup(problem, n, p, seed, **flags)
+    _, trace = solve(cfg)
+    final_f = trace.final_f()
     f_star = ref.value
-    provenance = ref.provenance
-    if f_star is None and ref.provenance == "long_run_baseline" and resolve_reference:
+    if f_star is None and ref.provenance == "long_run_baseline":
         f_star = long_run_reference(spec, obj, x0, cfg.epochs, cfg.eta)
     gap = None
     flagged = False
     if f_star is not None:
         gap, flagged = optimality_gap(final_f, f_star)
     result = ExperimentResult(spec, trace, final_f, f_star,
-                              provenance, gap, flagged)
+                              ref.provenance, gap, flagged)
     if out_path:
         write_trace_csv(out_path, trace)
         result.out_path = out_path
@@ -167,30 +149,19 @@ def run_experiment(
 GRID_DEFAULT = tuple(2.0**k for k in range(-10, 4))
 
 
-def grid_search(
-    problem: str,
-    n: int,
-    p: int,
-    seed: int,
-    cfg: OptimizerConfig,
-    etas=GRID_DEFAULT,
-    cond: float = 1e3,
-    density: float = 1.0,
-    planted: bool = False,
-) -> tuple[float, list[tuple[float, float]]]:
-    """Run every stepsize in the grid and return (best eta, [(eta, final f)]).
+def grid_search(problem: str, n: int, p: int, seed: int, cfg: OptimizerConfig,
+                etas=GRID_DEFAULT, **flags) -> tuple[float, list[tuple[float, float]]]:
+    """Run ``cfg`` at every stepsize in the grid, traced per epoch, on one
+    build of the problem and return (best eta, [(eta, final f)]).
 
     Diverged runs (non-finite objective, or a singular linear system in a
     full-gradient projection) score +inf.
     """
+    solve = _setup(problem, n, p, seed, **flags)[-1]
 
     def one(eta: float) -> float:
-        sub = replace(cfg, eta=eta, trace="epoch")
         try:
-            res = run_experiment(problem, n, p, seed, sub, cond=cond,
-                                 density=density, planted=planted,
-                                 resolve_reference=False)
-            return res.final_f
+            return solve(replace(cfg, eta=eta, trace="epoch"))[1].final_f()
         except (RuntimeError, FloatingPointError, OverflowError,
                 np.linalg.LinAlgError):
             return math.inf

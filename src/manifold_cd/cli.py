@@ -8,6 +8,9 @@ Subcommands:
 * ``flops``   prints the published flop-model table
 * ``preset``  lists named experiment configurations or dumps one as JSON
 
+``run`` and ``grid`` take the flags of ``_FLAGS``, which defaults them to
+``OptimizerConfig``'s fields and ``problems.PROBLEM_FLAGS``.
+
 Flags may also come from a flat JSON config file (``--config``); explicit
 command-line flags override file values, and unknown keys in the file are
 rejected, as are file values of the wrong type.  Exit codes: 0 success; 2
@@ -23,46 +26,50 @@ import json
 import math
 import sys
 
-from .bench import grid_search, run_experiment
+from .bench import GRID_DEFAULT, grid_search, run_experiment
 from .flops import render_table
 from .optimize import ALGORITHMS, SELECTIONS, TRACES, OptimizerConfig
-from .problems import PRESETS, PROBLEMS
+from .problems import PRESETS, PROBLEM_FLAGS, PROBLEMS
 
-_RUN_KEYS = {
-    "problem": str, "algo": str, "select": str, "n": int, "p": int,
-    "eta": float, "epochs": int, "inner": int, "seed": int, "out": str,
-    "cond": float, "density": float, "eta_decay": float, "grad_log": int,
-    "feas_log": int, "wall": bool, "planted": bool, "trace": str, "grid": str,
+# Every run/grid setting once: key -> (type, default, choices).  Its flag is
+# --key with "-" for "_"; a bool is a store_true switch.
+_FLAGS = {
+    "problem": (str, "procrustes", PROBLEMS),
+    "algo": (str, OptimizerConfig.algorithm, ALGORITHMS),
+    "select": (str, OptimizerConfig.selection, SELECTIONS),
+    "n": (int, 20, None),
+    "p": (int, 10, None),
+    "eta": (float, OptimizerConfig.eta, None),
+    "epochs": (int, OptimizerConfig.epochs, None),
+    "inner": (int, OptimizerConfig.inner, None),
+    "seed": (int, OptimizerConfig.seed, None),
+    "out": (str, None, None),
+    "cond": (float, PROBLEM_FLAGS["cond"][1], None),
+    "density": (float, PROBLEM_FLAGS["density"][1], None),
+    "eta_decay": (float, OptimizerConfig.eta_decay, None),
+    "grad_log": (int, OptimizerConfig.grad_log_every, None),
+    "feas_log": (int, OptimizerConfig.feas_log_every, None),
+    "wall": (bool, OptimizerConfig.log_wall, None),
+    "planted": (bool, PROBLEM_FLAGS["planted"][1], None),
+    "trace": (str, OptimizerConfig.trace, TRACES),
 }
 
-_DEFAULTS = {
-    "problem": "procrustes", "algo": "rcd", "select": "cyclic",
-    "n": 20, "p": 10, "eta": 0.1, "epochs": 100, "inner": None, "seed": 0,
-    "out": None, "cond": 1e3, "density": 1.0, "eta_decay": 0.0,
-    "grad_log": 0, "feas_log": 0, "wall": False, "planted": False,
-    "trace": "step",
-}
+_DEFAULTS = {key: default for key, (_, default, _) in _FLAGS.items()}
+# a config file may also carry a preset's "grid", which is dropped
+_RUN_KEYS = {key: kind for key, (kind, _, _) in _FLAGS.items()} | {"grid": str}
+
+_GRID_LABEL = f"2^{math.log2(GRID_DEFAULT[0]):.0f}..2^{math.log2(GRID_DEFAULT[-1]):.0f}"
 
 
 def _add_run_flags(sub):
-    sub.add_argument("--problem", choices=PROBLEMS)
-    sub.add_argument("--algo", choices=ALGORITHMS)
-    sub.add_argument("--select", choices=SELECTIONS)
-    sub.add_argument("--n", type=int)
-    sub.add_argument("--p", type=int)
-    sub.add_argument("--eta", type=float)
-    sub.add_argument("--epochs", type=int)
-    sub.add_argument("--inner", type=int)
-    sub.add_argument("--seed", type=int)
-    sub.add_argument("--out")
-    sub.add_argument("--cond", type=float)
-    sub.add_argument("--density", type=float)
-    sub.add_argument("--eta-decay", dest="eta_decay", type=float)
-    sub.add_argument("--grad-log", dest="grad_log", type=int)
-    sub.add_argument("--feas-log", dest="feas_log", type=int)
-    sub.add_argument("--wall", action="store_true", default=None)
-    sub.add_argument("--planted", action="store_true", default=None)
-    sub.add_argument("--trace", choices=TRACES)
+    for key, (kind, _, choices) in _FLAGS.items():
+        flag = "--" + key.replace("_", "-")
+        if kind is bool:
+            sub.add_argument(flag, action="store_true", default=None)
+        elif kind is str:
+            sub.add_argument(flag, choices=choices)
+        else:
+            sub.add_argument(flag, type=kind)
     sub.add_argument("--config", help="flat JSON file of these flags")
 
 
@@ -114,38 +121,34 @@ def _build_cfg(vals: dict) -> OptimizerConfig:
     )
 
 
+def _emit_json(doc: dict, out_path: str | None) -> None:
+    """Print ``doc`` as sorted, indented JSON, and write it to ``out_path``."""
+    text = json.dumps(doc, indent=2, sort_keys=True)
+    if out_path:
+        with open(out_path, "w", encoding="utf-8") as fh:
+            fh.write(text + "\n")
+    print(text)
+
+
 def _cmd_run(args) -> int:
     vals = _merge_config(args)
-    cfg = _build_cfg(vals)
-    result = run_experiment(
-        vals["problem"], vals["n"], vals["p"], vals["seed"], cfg,
-        cond=vals["cond"], density=vals["density"], planted=vals["planted"],
-        out_path=vals["out"],
-    )
+    result = run_experiment(vals["problem"], vals["n"], vals["p"], vals["seed"],
+                            _build_cfg(vals), out_path=vals["out"],
+                            **{key: vals[key] for key in PROBLEM_FLAGS})
     print(result.summary())
     return 0
 
 
 def _cmd_grid(args) -> int:
     vals = _merge_config(args)
-    cfg = _build_cfg(vals)
-    best, scored = grid_search(
-        vals["problem"], vals["n"], vals["p"], vals["seed"], cfg,
-        cond=vals["cond"], density=vals["density"], planted=vals["planted"],
-    )
+    best, scored = grid_search(vals["problem"], vals["n"], vals["p"], vals["seed"],
+                               _build_cfg(vals), **{key: vals[key] for key in PROBLEM_FLAGS})
     for eta, f in scored:
         tag = " (diverged)" if math.isinf(f) else ""
         print(f"# eta={eta:.10g} final_f={f:.12g}{tag}", file=sys.stderr)
-    out = dict(vals)
-    out["eta"] = best
-    out["grid"] = "2^-10..2^3"
-    out.pop("out", None)
-    out.pop("trace", None)
-    text = json.dumps(out, indent=2, sort_keys=True)
-    if vals.get("out"):
-        with open(vals["out"], "w", encoding="utf-8") as fh:
-            fh.write(text + "\n")
-    print(text)
+    out = dict(vals, eta=best, grid=_GRID_LABEL)
+    del out["out"], out["trace"]
+    _emit_json(out, vals["out"])
     return 0
 
 
@@ -171,11 +174,7 @@ def _cmd_preset(args) -> int:
         print(f"unknown preset {args.name!r}; available: {', '.join(sorted(PRESETS))}",
               file=sys.stderr)
         return 1
-    text = json.dumps(PRESETS[args.name], indent=2, sort_keys=True)
-    if args.out:
-        with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write(text + "\n")
-    print(text)
+    _emit_json(PRESETS[args.name], args.out)
     return 0
 
 
@@ -190,7 +189,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_run_flags(run_p)
     run_p.set_defaults(func=_cmd_run)
 
-    grid_p = subs.add_parser("grid", help="stepsize grid search over 2^-10..2^3")
+    grid_p = subs.add_parser("grid", help=f"stepsize grid search over {_GRID_LABEL}")
     _add_run_flags(grid_p)
     grid_p.set_defaults(func=_cmd_grid)
 

@@ -150,13 +150,14 @@ class Trace:
     instrumentation_flops: int = 0
     clamped_steps: int = 0
     eta_used: float = 0.0
+    unrecorded_f: float | None = None  # f at the end of a run that kept no record
 
     @property
     def total_flops(self) -> int:
         return self.oracle_flops + self.update_flops
 
     def final_f(self) -> float:
-        return self.records[-1].f
+        return self.records[-1].f if self.records else self.unrecorded_f
 
 
 def epoch_labels(rule: str, labels: list, n_inner: int, rng: SplitMix64):
@@ -447,6 +448,8 @@ def run_epochs(man: Manifold, obj: Objective, x0: np.ndarray, cfg: OptimizerConf
                 del trace.records[nrec:]
                 continue
             k += 1
+    if not trace.records:
+        trace.unrecorded_f = obj.value(x)
     return x, trace
 
 

@@ -1,5 +1,5 @@
 """Benchmark problem definitions: objectives, gradients, seeded generators,
-reference optima, and named experiment presets.
+reference optima, the problem flags, and named experiment presets.
 
 Every generator is a pure function of (dims, seed): data is drawn from one
 SplitMix64 stream in a fixed documented order, so regenerating a problem
@@ -31,6 +31,25 @@ PROBLEMS = (
     "ds-quadratic",
     "lorentz",
 )
+
+# problem flags read by one problem only: flag -> (that problem, default)
+PROBLEM_FLAGS = {
+    "cond": ("pca", 1e3),
+    "density": ("weighted-ls", 1.0),
+    "planted": ("nearest-symplectic", False),
+}
+
+
+def check_problem_flags(problem: str, **flags) -> None:
+    """Reject a problem flag set away from its default on a problem that
+    does not read it, rather than ignore it silently, and an unknown flag."""
+    for name, val in flags.items():
+        if name not in PROBLEM_FLAGS:
+            raise TypeError(f"unknown problem flag {name!r}")
+        owner, default = PROBLEM_FLAGS[name]
+        if problem != owner and val != default:
+            raise ValueError(f"--{name} applies only to --problem {owner}, "
+                             f"not {problem}")
 
 
 @dataclass
@@ -102,8 +121,7 @@ def make_pca(n: int, p: int, cond: float, seed: int):
     a = 0.5 * (a + a.T)
     v, _ = sym_eig(a)
     reference = v[:, n - p:]
-    spec = ProblemSpec("pca", ManifoldDescriptor("grassmann", (n, p)), seed,
-                       {"cond": cond})
+    spec = ProblemSpec("pca", ManifoldDescriptor("grassmann", (n, p)), seed)
     grad_flops = 2 * n * n * p + n * p
     obj = Objective(
         value=lambda x: -float(np.sum(x * (a @ x))),
@@ -117,7 +135,8 @@ def make_pca(n: int, p: int, cond: float, seed: int):
 # -- nearest symplectic matrix -----------------------------------------------
 
 
-def make_nearest_symplectic(n: int, p: int, seed: int, planted: bool = False):
+def make_nearest_symplectic(n: int, p: int, seed: int,
+                            planted: bool = PROBLEM_FLAGS["planted"][1]):
     """min over Sp(n, p) of |X - A|^2 with A a seeded Gaussian (or, for the
     planted variant, a feasible point, making f* = 0 exactly).
 
@@ -135,14 +154,13 @@ def make_nearest_symplectic(n: int, p: int, seed: int, planted: bool = False):
     else:
         a = rng.gaussian(2 * n, 2 * p)
         ref = Reference(None, "long_run_baseline", None)
-    spec = ProblemSpec("nearest-symplectic", desc, seed, {"planted": planted})
+    spec = ProblemSpec("nearest-symplectic", desc, seed)
     np4 = 4 * n * p
     obj = Objective(
         value=lambda x: float(np.sum((x - a) ** 2)),
         euclid_grad=lambda x: 2.0 * (x - a),
         grad_flops=2 * np4,
     )
-    spec.params["target"] = a
     return spec, obj, ref
 
 
@@ -214,7 +232,7 @@ def make_ds_quadratic(m: int, n: int, seed: int):
     desc = ManifoldDescriptor("doubly_stochastic", (m, n), mu=mu, nu=nu)
     man = make_manifold(desc)
     target = man.random_point(rng)
-    spec = ProblemSpec("ds-quadratic", desc, seed, {"target": target})
+    spec = ProblemSpec("ds-quadratic", desc, seed)
     obj = Objective(
         value=lambda x: 0.5 * float(np.sum((x - target) ** 2)),
         euclid_grad=lambda x: x - target,
@@ -240,16 +258,19 @@ def initial_point(spec: ProblemSpec) -> np.ndarray:
     return make_manifold(spec.descriptor).random_point(SplitMix64(spec.seed ^ 0x5EED))
 
 
-def build_problem(name: str, n: int, p: int, seed: int, cond: float = 1e3,
-                  density: float = 1.0, planted: bool = False):
+def build_problem(name: str, n: int, p: int, seed: int, **flags):
+    """(spec, objective, reference) of the named problem; ``flags`` are
+    problem flags, each at its ``PROBLEM_FLAGS`` default unless given."""
+    check_problem_flags(name, **flags)
+    flags = {key: default for key, (_, default) in PROBLEM_FLAGS.items()} | flags
     if name == "procrustes":
         return make_procrustes(n, p, seed)
     if name == "pca":
-        return make_pca(n, p, cond, seed)
+        return make_pca(n, p, flags["cond"], seed)
     if name == "nearest-symplectic":
-        return make_nearest_symplectic(n, p, seed, planted=planted)
+        return make_nearest_symplectic(n, p, seed, planted=flags["planted"])
     if name == "weighted-ls":
-        return make_weighted_ls(n, p, density, seed)
+        return make_weighted_ls(n, p, flags["density"], seed)
     if name == "ds-quadratic":
         return make_ds_quadratic(n, p, seed)
     raise ValueError(f"unknown problem {name!r}")

@@ -1,6 +1,7 @@
 """CLI surface and the CSV trace contract."""
 
 import json
+import math
 import os
 import subprocess
 import sys
@@ -9,19 +10,23 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from manifold_cd import cli
+from manifold_cd import bench, cli, embeddings
 from manifold_cd.bench import (
     CSV_HEADER,
-    PROBLEM_FLAGS,
-    check_problem_flags,
     grid_search,
     read_trace_csv,
     run_experiment,
     write_trace_csv,
 )
 from manifold_cd.cli import main
-from manifold_cd.optimize import OptimizerConfig
-from manifold_cd.problems import PRESETS
+from manifold_cd.optimize import OptimizeAbort, OptimizerConfig
+from manifold_cd.problems import (
+    PRESETS,
+    PROBLEM_FLAGS,
+    PROBLEMS,
+    build_problem,
+    check_problem_flags,
+)
 
 
 # ``manifold-cd flops``, byte for byte: the published flop model.
@@ -349,9 +354,126 @@ def test_grid_keeps_every_config_field():
                      for c in (cfg, decayed)]
     for (eta, f_plain), (_, f) in zip(plain, scored):
         assert f != f_plain
-        run = run_experiment("pca", 8, 2, 0, replace(decayed, eta=eta, trace="epoch"),
-                             resolve_reference=False)
+        run = run_experiment("pca", 8, 2, 0, replace(decayed, eta=eta, trace="epoch"))
         assert f == run.final_f
+
+
+# Tiny runs of every CLI problem; the last stepsize of the lorentz grid
+# overflows a rotation angle (epoch 8), so it scores +inf.
+GRID_CASES = [
+    ("procrustes", 6, 2, 1, dict(algorithm="rcd"), (0.05, 0.5), {}),
+    ("pca", 6, 2, 3, dict(algorithm="rcdlin"), (0.05, 0.5), {"cond": 50.0}),
+    ("nearest-symplectic", 3, 2, 9, dict(algorithm="rcd"), (0.01, 0.05), {}),
+    ("nearest-symplectic", 3, 2, 9, dict(algorithm="rcd"), (0.01, 0.05), {"planted": True}),
+    ("weighted-ls", 5, 2, 4, dict(algorithm="rcdlin", selection="without-replacement"),
+     (0.05, 0.5), {"density": 0.7}),
+    ("ds-quadratic", 4, 3, 2, dict(algorithm="rcd", selection="random"), (0.05, 0.5), {}),
+    ("lorentz", 3, 10, 3, dict(algorithm="rcdlin", selection="time-cyclic", inner=2,
+                               epochs=30), (0.05, 0.2), {}),
+]
+
+
+def test_grid_cases_cover_every_problem():
+    assert {case[0] for case in GRID_CASES} == set(PROBLEMS)
+
+
+@pytest.mark.parametrize("problem, n, p, seed, kw, etas, flags", GRID_CASES,
+                         ids=[f"{c[0]}{'-planted' if c[6].get('planted') else ''}"
+                              for c in GRID_CASES])
+def test_grid_builds_once_and_scores_direct_runs(monkeypatch, problem, n, p, seed, kw,
+                                                 etas, flags):
+    """One problem build and one initial point serve every stepsize, the
+    grid never resolves a long-run reference, and each score is bitwise the
+    final f of a direct epoch-traced run at that stepsize (+inf when the
+    direct run aborts)."""
+    calls = {"build": 0, "initial_point": 0, "long_run_reference": 0}
+
+    def counted(name, fn):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+        return wrapper
+
+    monkeypatch.setattr(bench, "build_problem", counted("build", bench.build_problem))
+    monkeypatch.setattr(embeddings, "make_lorentz_embed",
+                        counted("build", embeddings.make_lorentz_embed))
+    monkeypatch.setattr(bench, "initial_point", counted("initial_point", bench.initial_point))
+    # the direct runs below resolve it; a stand-in keeps them short
+    monkeypatch.setattr(bench, "long_run_reference",
+                        counted("long_run_reference", lambda *_args: 0.0))
+    cfg = OptimizerConfig(**{"epochs": 5, "seed": seed, **kw})
+    _, scored = grid_search(problem, n, p, seed, cfg, etas=etas, **flags)
+    assert calls == {"build": 1, "initial_point": int(problem != "lorentz"),
+                     "long_run_reference": 0}
+    assert [eta for eta, _ in scored] == list(etas)
+    for eta, f in scored:
+        direct = replace(cfg, eta=eta, trace="epoch")
+        if math.isinf(f):
+            with pytest.raises(OptimizeAbort):
+                run_experiment(problem, n, p, seed, direct, **flags)
+        else:
+            assert f == run_experiment(problem, n, p, seed, direct, **flags).final_f
+    if problem == "lorentz":
+        assert scored[-1][1] == math.inf
+    if problem == "nearest-symplectic" and not flags:
+        assert calls["long_run_reference"] == len(etas)
+
+
+# The run/grid flag surface, pinned: (option, dest, type, choices, store_true).
+RUN_FLAGS = [
+    ("--problem", "problem", None, ("procrustes", "pca", "nearest-symplectic",
+                                    "weighted-ls", "ds-quadratic", "lorentz"), False),
+    ("--algo", "algo", None, ("rcd", "rcdlin", "rgd", "tsd"), False),
+    ("--select", "select", None,
+     ("cyclic", "random", "without-replacement", "time-cyclic"), False),
+    ("--n", "n", int, None, False),
+    ("--p", "p", int, None, False),
+    ("--eta", "eta", float, None, False),
+    ("--epochs", "epochs", int, None, False),
+    ("--inner", "inner", int, None, False),
+    ("--seed", "seed", int, None, False),
+    ("--out", "out", None, None, False),
+    ("--cond", "cond", float, None, False),
+    ("--density", "density", float, None, False),
+    ("--eta-decay", "eta_decay", float, None, False),
+    ("--grad-log", "grad_log", int, None, False),
+    ("--feas-log", "feas_log", int, None, False),
+    ("--wall", "wall", None, None, True),
+    ("--planted", "planted", None, None, True),
+    ("--trace", "trace", None, ("step", "epoch", "none"), False),
+    ("--config", "config", None, None, False),
+]
+
+# perfbench merges workloads over these
+DEFAULTS = {
+    "problem": "procrustes", "algo": "rcd", "select": "cyclic",
+    "n": 20, "p": 10, "eta": 0.1, "epochs": 100, "inner": None, "seed": 0,
+    "out": None, "cond": 1e3, "density": 1.0, "eta_decay": 0.0,
+    "grad_log": 0, "feas_log": 0, "wall": False, "planted": False,
+    "trace": "step",
+}
+
+
+@pytest.mark.parametrize("command", ["run", "grid"])
+def test_run_and_grid_flag_surface(command):
+    subs = next(a for a in cli.build_parser()._actions if a.dest == "command")
+    actions = [a for a in subs.choices[command]._actions if a.dest != "help"]
+    got = [(a.option_strings[0], a.dest, a.type,
+            tuple(a.choices) if a.choices else None, a.const is True and a.nargs == 0)
+           for a in actions]
+    assert got == RUN_FLAGS
+    assert all(len(a.option_strings) == 1 and a.default is None for a in actions)
+
+
+def test_cli_defaults_pinned():
+    assert cli._DEFAULTS == DEFAULTS
+    assert list(cli._DEFAULTS) == list(DEFAULTS)
+    assert [type(v) for v in cli._DEFAULTS.values()] == [type(v) for v in DEFAULTS.values()]
+
+
+def test_unknown_problem_flag_is_a_type_error():
+    with pytest.raises(TypeError, match="densty"):
+        build_problem("weighted-ls", 6, 2, 0, densty=0.5)
 
 
 _COLD_START = """

@@ -392,6 +392,39 @@ class TestConfigValidation:
             OptimizerConfig(**{field: value})
 
 
+@pytest.mark.parametrize("algo, runner", [("rcd", run_rcd), ("rcdlin", run_rcdlin),
+                                          ("rgd", run_rgd), ("tsd", run_tsd)])
+def test_final_f_under_every_trace_mode(algo, runner):
+    """A run that keeps no record still reports its final f: the objective at
+    its final point, evaluated off the ledger, so the ledger and x do not
+    depend on the trace mode."""
+    man, obj, x0, _ = _pca_setup(n=8, p=2)
+    runs = {mode: runner(man, obj, x0, OptimizerConfig(
+                algorithm=algo, epochs=3, eta=0.1, seed=2, grad_log_every=2, trace=mode))
+            for mode in ("step", "epoch", "none")}
+    x, none = runs["none"]
+    assert none.records == [] and none.final_f() == obj.value(x)
+    for mode in ("step", "epoch"):
+        xm, trace = runs[mode]
+        assert np.array_equal(xm, x) and trace.final_f() == none.final_f()
+        assert trace.unrecorded_f is None
+        assert ((trace.oracle_calls, trace.oracle_flops, trace.update_flops,
+                 trace.instrumentation_flops)
+                == (none.oracle_calls, none.oracle_flops, none.update_flops,
+                    none.instrumentation_flops))
+
+
+def test_final_f_of_a_run_with_no_label_to_step():
+    # Stiefel(1, 1) has no coordinate pair, so no epoch takes a step or records
+    spec, obj, _ = make_procrustes(1, 1, 0)
+    x0 = initial_point(spec)
+    for mode in ("step", "epoch"):
+        x, trace = run_rcd(make_manifold(spec.descriptor), obj, x0,
+                           OptimizerConfig(epochs=2, trace=mode))
+        assert trace.records == [] and np.array_equal(x, x0)
+        assert trace.final_f() == obj.value(x0)
+
+
 @pytest.mark.parametrize("setup", [0, 777])
 def test_flop_ledger_arithmetic_exact(setup):
     """Cumulative flops equal the hand-computed model totals; an objective's
