@@ -101,18 +101,22 @@ def full_sinkhorn(
     if np.any(u <= 0.0):
         raise ValueError("full_sinkhorn needs a strictly positive matrix")
     x = u.copy()
-    for _ in range(max_iters):
+    for sweeps in range(max_iters + 1):
         row_err = np.max(np.abs(x.sum(axis=1) - mu))
         col_err = np.max(np.abs(x.sum(axis=0) - nu))
         if row_err <= tol and col_err <= tol:
             return x
+        if sweeps == max_iters:
+            raise RuntimeError(f"sinkhorn stalled: residual {max(row_err, col_err):.3e}")
         x *= (mu / x.sum(axis=1))[:, None]
         x *= nu / x.sum(axis=0)
-    row_err = np.max(np.abs(x.sum(axis=1) - mu))
-    col_err = np.max(np.abs(x.sum(axis=0) - nu))
-    if row_err <= tol and col_err <= tol:
-        return x
-    raise RuntimeError(f"sinkhorn stalled: residual {max(row_err, col_err):.3e}")
+
+
+def _fisher_gradient_norm(man: Manifold, x: np.ndarray, g: np.ndarray) -> float:
+    """Fisher-metric norm sqrt(sum(u^2 / x)) of the Riemannian gradient u:
+    both families' ``gradient_norm``."""
+    u = man.riemannian_gradient(x, g)
+    return float(math.sqrt(np.sum(u * u / x)))
 
 
 class DoublyStochastic(Manifold):
@@ -156,9 +160,7 @@ class DoublyStochastic(Manifold):
         beta = np.concatenate([sol[m:], [0.0]])
         return alpha, beta
 
-    def gradient_norm(self, x, g):
-        u = self.riemannian_gradient(x, g)
-        return float(math.sqrt(np.sum(u * u / x)))
+    gradient_norm = _fisher_gradient_norm
 
     def coordinate_derivative_from_carrier(self, x, d, l):
         i, j = l
@@ -223,9 +225,7 @@ class Multinomial(Manifold):
         a = x * g
         return a - a.sum(axis=1, keepdims=True) * x
 
-    def gradient_norm(self, x, g):
-        u = self.riemannian_gradient(x, g)
-        return float(math.sqrt(np.sum(u * u / x)))
+    gradient_norm = _fisher_gradient_norm
 
     def coordinate_derivative_from_carrier(self, x, d, l):
         i, j = l

@@ -38,15 +38,17 @@ happen as the loop reaches them, so a BW epoch that aborts and is retried
 leaves the generator just past the draws it used.  ``inner`` steps over an
 empty label set are a ValueError; without ``inner`` an epoch takes no step.
 
-Accounting: the loop writes the ledger; a step function only adds to
-``trace.update_flops``.  Oracle flops are the objective's ``setup_flops``,
-charged once as the run starts (not a call, not re-charged by a BW retry),
-plus the gradient and, for rcd/rcdlin, the carrier per invocation.  Update
-flops follow the published per-coordinate model (skipped steps charge only
-the derivative part); instrumentation flops (objective values, gradient-norm
-and feasibility logs) are kept apart.  The ``flops`` column is oracle +
-update.  Wall-clock time is sampled from a monotonic clock only when
-``log_wall`` is set, so by default repeated runs emit byte-identical traces.
+Accounting: the loop writes the ledger.  A step function adds to
+``trace.update_flops``; ``coordinate_step`` also charges carrier upkeep to
+``trace.oracle_flops`` and counts ``trace.clamped_steps``.  Oracle flops are
+the objective's ``setup_flops``, charged once as the run starts (not a call,
+not re-charged by a BW retry), plus the gradient and, for rcd/rcdlin, the
+carrier per invocation.  Update flops follow the published per-coordinate
+model (skipped steps charge only the derivative part); instrumentation flops
+(objective values, gradient-norm and feasibility logs) are kept apart.  The
+``flops`` column is oracle + update.  Wall-clock time is sampled from a
+monotonic clock only when ``log_wall`` is set, so by default repeated runs
+emit byte-identical traces.
 """
 
 from __future__ import annotations
@@ -54,7 +56,7 @@ from __future__ import annotations
 import itertools
 import math
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Callable
 
 import numpy as np
@@ -367,6 +369,10 @@ def run_epochs(man: Manifold, obj: Objective, x0: np.ndarray, cfg: OptimizerConf
     before every step when ``fresh_oracle`` is set, else once per epoch.
     ``sweep(x, d, eta, trace, k)``, given only with the oracle once per epoch
     and no per-step records, takes all of an epoch's steps in one call.
+
+    Every record's objective is checked to be finite.  A run that keeps no
+    record (``trace="none"``) checks its objective once, at the end, and
+    aborts at the last step taken, (K-1, S-1).
     """
     man.check_shape(x0)
     n_inner = _inner_steps(cfg, labels)
@@ -404,10 +410,9 @@ def run_epochs(man: Manifold, obj: Objective, x0: np.ndarray, cfg: OptimizerConf
         while k < cfg.epochs:
             eta_k = eta if cfg.eta_decay == 0.0 else eta / (1.0 + cfg.eta_decay * k)
             if probe_bw:
-                epoch_start = x.copy()
-                mark = (trace.oracle_calls, trace.oracle_flops, trace.update_flops,
-                        trace.instrumentation_flops, trace.clamped_steps,
-                        len(trace.records))
+                # a retry restores this shallow copy, which shares the record
+                # list, and cuts the list back to its length here
+                epoch_start, saved, nrec = x.copy(), replace(trace), len(trace.records)
             epoch_grad = None
             epoch_feas = None
             if cfg.grad_log_every and k % cfg.grad_log_every == 0:
@@ -441,15 +446,14 @@ def run_epochs(man: Manifold, obj: Objective, x0: np.ndarray, cfg: OptimizerConf
                         k, 0, "definiteness probe failed after 30 stepsize halvings")
                 halvings += 1
                 eta *= 0.5
-                trace.eta_used = eta
-                x = epoch_start
-                (trace.oracle_calls, trace.oracle_flops, trace.update_flops,
-                 trace.instrumentation_flops, trace.clamped_steps, nrec) = mark
+                x, trace = epoch_start, saved
                 del trace.records[nrec:]
+                trace.eta_used = eta
                 continue
             k += 1
     if not trace.records:
-        trace.unrecorded_f = obj.value(x)
+        trace.unrecorded_f = _check_finite(obj.value(x), k - 1, max(n_inner - 1, 0),
+                                           "objective")
     return x, trace
 
 
@@ -458,31 +462,15 @@ def run_epochs(man: Manifold, obj: Objective, x0: np.ndarray, cfg: OptimizerConf
 
 @dataclass
 class FlopAuditReport:
-    algorithm: str
-    epochs: int
     inner: int
-    oracle_calls: int
     expected_oracle_calls: int
-    oracle_flops: int
-    update_flops: int
-    total_flops: int
-    instrumentation_flops: int
     ok: bool
-
-    def summary(self) -> str:
-        status = "ok" if self.ok else "MISMATCH"
-        return (
-            f"{self.algorithm}: K={self.epochs} S={self.inner} "
-            f"oracle_calls={self.oracle_calls} (expected {self.expected_oracle_calls}) "
-            f"oracle_flops={self.oracle_flops} update_flops={self.update_flops} "
-            f"total={self.total_flops} [{status}]"
-        )
 
 
 def flop_audit(trace: Trace, man: Manifold, cfg: OptimizerConfig) -> FlopAuditReport:
-    """Decompose a trace's cost into oracle and update parts and check the
-    oracle-call count: K*S for the per-step-gradient algorithms, K for the
-    anchored and full-gradient ones, with S from the labels the run sweeps."""
+    """Check a trace's oracle-call count: K*S for the per-step-gradient
+    algorithms, K for the anchored and full-gradient ones, with S from the
+    labels the run sweeps."""
     if cfg.algorithm == "rgd":
         n_inner = 1
     else:
@@ -491,15 +479,4 @@ def flop_audit(trace: Trace, man: Manifold, cfg: OptimizerConfig) -> FlopAuditRe
     # one oracle call per step, or per epoch that takes a step
     per_epoch = n_inner if cfg.algorithm in ("rcd", "tsd") else min(n_inner, 1)
     expected = cfg.epochs * per_epoch
-    return FlopAuditReport(
-        algorithm=cfg.algorithm,
-        epochs=cfg.epochs,
-        inner=n_inner,
-        oracle_calls=trace.oracle_calls,
-        expected_oracle_calls=expected,
-        oracle_flops=trace.oracle_flops,
-        update_flops=trace.update_flops,
-        total_flops=trace.total_flops,
-        instrumentation_flops=trace.instrumentation_flops,
-        ok=trace.oracle_calls == expected,
-    )
+    return FlopAuditReport(n_inner, expected, trace.oracle_calls == expected)

@@ -3,6 +3,7 @@
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 from dataclasses import replace
@@ -10,7 +11,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from manifold_cd import bench, cli, embeddings
+from manifold_cd import ManifoldDescriptor, bench, cli, embeddings, make_manifold
 from manifold_cd.bench import (
     CSV_HEADER,
     grid_search,
@@ -19,6 +20,10 @@ from manifold_cd.bench import (
     write_trace_csv,
 )
 from manifold_cd.cli import main
+from manifold_cd.flops import render_table
+from manifold_cd.indices import Column, Entry, Pair
+from manifold_cd.manifolds.base import FAMILIES
+from manifold_cd.manifolds.stiefel import tsd_flop_parts
 from manifold_cd.optimize import OptimizeAbort, OptimizerConfig
 from manifold_cd.problems import (
     PRESETS,
@@ -200,6 +205,56 @@ class TestCliCommands:
         assert len(records) == 5
 
 
+# Each row of the printed per-update table -> the (family, label) pairs it
+# prices; a label may depend on n, and family None is the column-wise Stiefel
+# baseline (``tsd_flop_parts``).
+FLOPS_TABLE_LABELS = {
+    ("stiefel, grassmann", "pair"): [("stiefel", Pair(0, 1)), ("grassmann", Pair(2, 4))],
+    ("hyperbolic", "pair"): [("hyperbolic", Pair(0, 1)), ("hyperbolic", Pair(1, 3))],
+    ("symplectic (2p wide)", "pair i<j"): [("symplectic", Pair(0, 2))],
+    ("symplectic (2p wide)", "diag i=j"): [("symplectic", Pair(1, 1))],
+    ("symplectic (2p wide)", "scale j=i+n"): [("symplectic", lambda n: Pair(1, 1 + n))],
+    ("doubly stochastic", "entry"): [("doubly_stochastic", Entry(1, 0))],
+    ("multinomial", "entry"): [("multinomial", Entry(1, 0))],
+    ("factored SPSD", "entry"): [("spsd_factored", Entry(1, 2))],
+    ("SPD (BW metric)", "pair i<j"): [("spd_bures_wasserstein", Pair(0, 2))],
+    ("SPD (BW metric)", "diag i=j"): [("spd_bures_wasserstein", Pair(1, 1))],
+    ("columnwise stiefel", "pair"): [(None, Pair(0, 1))],
+    ("columnwise stiefel", "column"): [(None, Column(2))],
+}
+
+
+def _flops_table_rows():
+    """{(family, label kind): (derivative formula, update formula)}, read from
+    the printed table's fixed columns; a blank family repeats the one above."""
+    lines = render_table().splitlines()
+    rows, family = {}, None
+    for line in lines[lines.index("per-update cost (derivative + update) by family") + 1:]:
+        family = line[2:23].strip() or family
+        rows[family, line[23:36].strip()] = tuple(line[36:].split(" + "))
+    return rows
+
+
+@pytest.mark.parametrize("n, p", [(5, 3), (9, 4)])
+def test_flops_table_matches_the_ledger(n, p):
+    rows = _flops_table_rows()
+    assert set(rows) == set(FLOPS_TABLE_LABELS)
+    priced = {family for pairs in FLOPS_TABLE_LABELS.values() for family, _ in pairs}
+    assert priced == set(FAMILIES) | {None}
+    for key, formulas in rows.items():
+        # "4np+n" -> 4*n*p+n
+        printed = tuple(eval(re.sub(r"(?<=[\dnp])(?=[np])", "*", f.strip()), {"n": n, "p": p})
+                        for f in formulas)
+        for family, label in FLOPS_TABLE_LABELS[key]:
+            label = label(n) if callable(label) else label
+            if family is None:
+                parts = tsd_flop_parts(label, n, p)
+            else:
+                dims = (n, n) if family == "spd_bures_wasserstein" else (n, p)
+                parts = make_manifold(ManifoldDescriptor(family, dims)).flop_parts(label)
+            assert parts == printed, (key, family, label)
+
+
 def test_run_without_trace_reports_final_f(capsys, tmp_path):
     args = ["run", "--problem", "procrustes", "--algo", "rcd", "--epochs", "5"]
     path = str(tmp_path / "t.csv")
@@ -209,6 +264,16 @@ def test_run_without_trace_reports_final_f(capsys, tmp_path):
     assert _run_cli(args + ["--trace", "none"]) == 0
     out = capsys.readouterr().out
     assert f"final_f={last:.12g}" in out
+
+
+def test_untraced_diverged_run_fails(capsys):
+    # diverges at epoch 4; with no record the final f is checked at the last step
+    code = _run_cli(["run", "--problem", "weighted-ls", "--n", "8", "--p", "3",
+                     "--algo", "rgd", "--eta", "8", "--epochs", "30", "--trace", "none"])
+    assert code == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: non-finite objective at epoch 29, inner step 0\n"
 
 
 def test_grid_scores_singular_projection_as_diverged(capsys):

@@ -107,6 +107,24 @@ class TestFullSinkhorn:
                 rhs = ratio[i, 1] * ratio[k, 0]
                 assert abs(lhs - rhs) <= 1e-8 * max(abs(lhs), abs(rhs))
 
+    def test_max_iters_sweeps_then_one_last_test(self):
+        # below the sweeps convergence needs it stalls; from there on it
+        # returns the same matrix, bitwise
+        u = np.exp(0.7 * SplitMix64(3004).gaussian(5, 4))
+        mu, nu = np.full(5, 0.2), np.full(4, 0.25)
+        out = full_sinkhorn(u, mu, nu)
+
+        def converges(max_iters):
+            try:
+                return np.array_equal(full_sinkhorn(u, mu, nu, max_iters=max_iters), out)
+            except RuntimeError as exc:
+                assert str(exc).startswith("sinkhorn stalled: residual ")
+                return False
+
+        verdicts = list(map(converges, range(60)))
+        needed = verdicts.index(True)
+        assert 0 < needed < 50 and all(verdicts[needed:])
+
     def test_nonconvergence_raises(self):
         with pytest.raises(ValueError):
             full_sinkhorn(np.array([[1.0, 0.0], [0.0, 1.0]]),

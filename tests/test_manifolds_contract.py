@@ -2,11 +2,14 @@
 and satisfies the shared invariants (derivative closed forms vs materialized
 bases, retraction axioms, feasibility preservation, descent steps)."""
 
+import math
+
 import numpy as np
 import pytest
 
 from manifold_cd import ManifoldDescriptor, make_manifold
 from manifold_cd.manifolds import Manifold
+from manifold_cd.optimize import Objective, OptimizerConfig, flop_audit, optimize
 from manifold_cd.rng import SplitMix64
 from reference import coordinate_derivative_reference, random_tangent
 
@@ -106,18 +109,21 @@ def test_feasibility_preserved_under_random_steps(family_case):
         assert man.feasibility_residual(y) <= 1e-8
 
 
-def test_descent_direction(family_case):
-    """f(Retr(-eta*theta*B)) <= f(X) for small eta whenever theta != 0."""
-    man, x = family_case
-    c = SplitMix64(75).gaussian(*man.gradient_shape)
+def _linear_objective(man, seed):
+    """(f, C) with f = <C, x>, or <C, Y Y'> on the factored family; C is
+    symmetric on the families whose gradient is square."""
+    c = SplitMix64(seed).gaussian(*man.gradient_shape)
     if man.family in ("spsd_factored", "spd_bures_wasserstein"):
         c = 0.5 * (c + c.T)
     if man.family == "spsd_factored":
-        def f(y):
-            return float(np.sum(c * (y @ y.T)))
-    else:
-        def f(y):
-            return float(np.sum(c * y))
+        return (lambda y: float(np.sum(c * (y @ y.T)))), c
+    return (lambda y: float(np.sum(c * y))), c
+
+
+def test_descent_direction(family_case):
+    """f(Retr(-eta*theta*B)) <= f(X) for small eta whenever theta != 0."""
+    man, x = family_case
+    f, c = _linear_objective(man, 75)
     eta = 1e-4
     f0 = f(x)
     for l in man.enumerate_basis():
@@ -165,6 +171,24 @@ def test_flop_parts_positive(family_case):
         d, u = man.flop_parts(l)
         assert d > 0 and u > 0
         assert man.flop_cost(l) == d + u
+
+
+@pytest.mark.parametrize("algo", ["rgd", "rcd", "rcdlin"])
+def test_every_algorithm_runs_with_every_log(family_case, algo):
+    """Each family runs rgd, rcd and rcdlin with both logs every epoch: the
+    audit holds, rgd charges K full steps, every logged norm is finite and
+    the final point is feasible."""
+    man, x0 = family_case
+    f, c = _linear_objective(man, 77)
+    cfg = OptimizerConfig(algorithm=algo, epochs=3, eta=1e-3, trace="epoch",
+                          grad_log_every=1, feas_log_every=1)
+    x, trace = optimize(man, Objective(f, lambda _: c), x0, cfg)
+    assert flop_audit(trace, man, cfg).ok
+    if algo == "rgd":
+        assert trace.update_flops == cfg.epochs * man.rgd_flops()
+    logs = [(r.grad_norm, r.feasibility) for r in trace.records]
+    assert len(logs) == cfg.epochs and all(map(math.isfinite, sum(logs, ())))
+    assert man.feasibility_residual(x) <= 1e-10
 
 
 def test_enumeration_order_examples():

@@ -244,9 +244,8 @@ class TestFlopAudit:
                                   selection="random", seed=3, trace="epoch")
             _, trace = runner(man, obj, x0, cfg)
             audit = flop_audit(trace, man, cfg)
-            assert audit.oracle_calls == expected
+            assert trace.oracle_calls == audit.expected_oracle_calls == expected
             assert audit.ok
-            assert "ok" in audit.summary()
         # time-cyclic sweeps the n - 1 time pairs, not the whole basis
         man = make_manifold(ManifoldDescriptor("hyperbolic", (5, 1)))
         obj = Objective(value=lambda x: float(x[1, 0]),
@@ -352,6 +351,33 @@ class TestBaselines:
         assert trace.eta_used == 4.0 / 2**8
         assert trace.instrumentation_flops == 5 * 16
 
+    @pytest.mark.parametrize("mode", ["step", "epoch"])
+    @pytest.mark.parametrize("algo, runner", [("rcd", run_rcd), ("rcdlin", run_rcdlin)])
+    def test_bw_retry_restores_the_whole_ledger(self, algo, runner, mode):
+        # the probe is forced to fail twice at epoch 2: the retried epoch
+        # leaves the ledger and the records as if it had run once, at eta / 4
+        man = make_manifold(ManifoldDescriptor("spd_bures_wasserstein", (3, 3)))
+        probe = man.min_eigenvalue
+        forced = [1.0, 1.0, -1.0, -1.0]
+        man.min_eigenvalue = lambda x: forced.pop(0) if forced else probe(x)
+        target = np.array([[3.0, 0.5, 0.2], [0.5, 2.0, 0.3], [0.2, 0.3, 1.0]])
+        obj = Objective(value=lambda x: float(np.sum((x - target) ** 2)),
+                        euclid_grad=lambda x: 2.0 * (x - target),
+                        grad_flops=16, setup_flops=7)
+        epochs, basis = 4, man.enumerate_basis()
+        cfg = OptimizerConfig(algorithm=algo, epochs=epochs, eta=0.01, selection="cyclic",
+                              seed=0, trace=mode, grad_log_every=1)
+        _, trace = runner(man, obj, np.eye(3), cfg)
+        calls = epochs * (len(basis) if algo == "rcd" else 1)
+        assert not forced and trace.eta_used == 0.01 / 4
+        assert trace.oracle_calls == calls
+        assert trace.oracle_flops == 7 + calls * (16 + man.carrier_flops())
+        assert trace.update_flops == epochs * sum(map(man.flop_cost, basis))
+        assert trace.instrumentation_flops == epochs * 16
+        inner = range(len(basis)) if mode == "step" else [len(basis) - 1]
+        assert [(r.k, r.s) for r in trace.records] == list(itertools.product(
+            range(epochs), inner))
+
     def test_bw_divergent_stepsize_aborts_cleanly(self):
         # coordinate steps are congruences, so definiteness survives any
         # finite step; a wildly large stepsize diverges instead, and the
@@ -412,6 +438,22 @@ def test_final_f_under_every_trace_mode(algo, runner):
                  trace.instrumentation_flops)
                 == (none.oracle_calls, none.oracle_flops, none.update_flops,
                     none.instrumentation_flops))
+
+
+@pytest.mark.parametrize("algo, runner", [("rcd", run_rcd), ("rgd", run_rgd)])
+def test_untraced_run_checks_its_final_f(algo, runner):
+    """Under trace "none" a non-finite final objective aborts at the last
+    step taken, (K-1, S-1), as the last record's check does under "epoch"."""
+    man, obj, x0, _ = _pca_setup(n=6, p=2)
+    obj = dataclasses.replace(obj, value=lambda x: math.nan)
+    cfg = OptimizerConfig(algorithm=algo, epochs=3, eta=0.1, trace="none")
+    with pytest.raises(OptimizeAbort, match="non-finite objective") as err:
+        runner(man, obj, x0, cfg)
+    s = 0 if algo == "rgd" else man.index_count() - 1
+    assert (err.value.k, err.value.s) == (2, s)
+    with pytest.raises(OptimizeAbort) as epoch_err:
+        runner(man, obj, x0, dataclasses.replace(cfg, trace="epoch"))
+    assert (epoch_err.value.k, epoch_err.value.s) == (0, s)
 
 
 def test_final_f_of_a_run_with_no_label_to_step():
