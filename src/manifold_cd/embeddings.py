@@ -179,7 +179,7 @@ class HyperboloidColumns:
     epoch loop needs of a manifold, column by column from Hyperbolic(n, 1)'s
     own methods (norms and residuals combine as a Frobenius norm)."""
 
-    family = "hyperbolic"
+    epoch_probe = None
     check_shape = Manifold.check_shape
 
     def __init__(self, n_dim: int, n_words: int):

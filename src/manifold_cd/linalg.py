@@ -17,9 +17,9 @@ Rotation conventions (side="left", rows i and j, angle theta):
 side="right" applies the same recombination to columns i and j.  One kernel,
 ``rotate_rows``, holds the update for every caller, and one table,
 ``ROTATIONS``, the coefficients: math's functions, since np.cosh and np.sinh
-round differently.  The one exception is ``optimize.pivot_row_sweep``, which
-applies the circular update's two rows at different times (the pivot row per
-step, the partner rows in a batch) with the same products and sums.
+round differently.  The one exception is the Stiefel sweep hook
+(``pivot_row_sweep``): it applies the circular update's two rows at different
+times (pivot row per step, partner rows in a batch), same products and sums.
 """
 
 from __future__ import annotations

@@ -35,6 +35,9 @@ which updates ``out`` in place for t != 0 and returns ``clamped``.  A step
 that cannot be taken (an exponent past the float range) must raise
 ``OverflowError`` before any write, so the point is untouched and the engine
 reports the abort with its epoch and step.
+
+Engine hooks.  The epoch loop names no family: the hooks below bring what one
+family needs of it, and their defaults keep every other family out.
 """
 
 from __future__ import annotations
@@ -100,6 +103,17 @@ class ManifoldDescriptor:
                 raise ValueError("marginals must sum to one")
             object.__setattr__(self, "mu", mu)
             object.__setattr__(self, "nu", nu)
+
+
+class OptimizeAbort(RuntimeError):
+    """Raised when a run cannot go on (a non-finite objective or derivative, a
+    refused retraction); carries the step (k, s) and the reason."""
+
+    def __init__(self, k: int, s: int, reason: str):
+        super().__init__(f"{reason} at epoch {k}, inner step {s}")
+        self.k = k
+        self.s = s
+        self.reason = reason
 
 
 class Manifold(ABC):
@@ -207,6 +221,19 @@ class Manifold(ABC):
     # BW family uses 2.0 so its quadratic two-row update comes out in the
     # documented form.
     step_scale: float = 1.0
+
+    # -- engine hooks ------------------------------------------------------
+
+    def time_cyclic_basis(self) -> list[CoordinateIndex]:
+        """The labels a time-cyclic epoch sweeps."""
+        raise ValueError("time-cyclic selection is only valid on the hyperbolic family")
+
+    def anchored_cyclic_sweep(self, labels: list, n_inner: int):
+        """``sweep(x, d, eta, trace, k)``: an anchored cyclic epoch in one call."""
+        return None
+
+    # epoch_probe(x) False: the epoch is retried at half the stepsize
+    epoch_probe = None
 
     @abstractmethod
     def materialize_basis(self, x: np.ndarray, l: CoordinateIndex) -> np.ndarray: ...

@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import numpy as np
 
+from ..indices import Pair
 from ..linalg import apply_rotation
 from ..rng import SplitMix64
 from .base import Manifold
@@ -101,6 +102,9 @@ class Hyperbolic(Manifold):
         v = rng.gaussian(self.n, 1)
         v[0, 0] = 0.0
         return lift_to_hyperboloid(v)
+
+    def time_cyclic_basis(self):
+        return [Pair(0, j) for j in range(1, self.n)]
 
 
 def _j_diag(n: int) -> np.ndarray:

@@ -186,3 +186,6 @@ class SpdBuresWasserstein(Manifold):
     def min_eigenvalue(self, x) -> float:
         _, lam = sym_eig(0.5 * (x + x.T))
         return float(lam[0])
+
+    def epoch_probe(self, x) -> bool:
+        return self.min_eigenvalue(x) > 0.0

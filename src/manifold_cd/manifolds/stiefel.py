@@ -21,10 +21,11 @@ import math
 
 import numpy as np
 
+from ..flops import ZERO_DERIVATIVE_SKIP
 from ..indices import Column, CoordinateIndex, Pair
 from ..linalg import apply_rotation, thin_qr
 from ..rng import SplitMix64
-from .base import Manifold
+from .base import Manifold, OptimizeAbort
 
 
 def _sym(a: np.ndarray) -> np.ndarray:
@@ -82,12 +83,92 @@ class Stiefel(Manifold):
         q, _ = thin_qr(rng.gaussian(self.n, self.p))
         return q
 
+    def anchored_cyclic_sweep(self, labels, n_inner):
+        return pivot_row_sweep(self, labels, n_inner)
+
 
 class Grassmann(Stiefel):
     family = "grassmann"
 
     def riemannian_gradient(self, x, g):
         return g - x @ (x.T @ g)
+
+
+def pivot_row_runs(labels: list, n_inner: int):
+    """The runs of a cyclic epoch, as a function that yields them lazily:
+    (s0, i, j0, j1) for each maximal stretch of the stream that, from inner
+    step s0, steps the labels (i, j0), (i, j0+1), ..., (i, j1-1).  The stream
+    repeats ``labels`` from its start every epoch (``epoch_labels``); the
+    epoch's end and the sweep's wrap cut a run, so at n = 2, where the label
+    (0, 1) repeats, every run is one step long."""
+    cycle: list[list[int]] = []
+    for s, (i, j) in enumerate(labels):
+        if cycle and cycle[-1][1] == i and cycle[-1][3] == j:
+            cycle[-1][3] = j + 1
+        else:
+            cycle.append([s, i, j, j + 1])
+
+    def epoch():
+        for start in range(0, n_inner, max(len(labels), 1)):
+            for s0, i, j0, j1 in cycle:
+                s0 += start
+                if s0 >= n_inner:
+                    return
+                yield s0, i, j0, min(j1, j0 + n_inner - s0)
+
+    return epoch
+
+
+def pivot_row_sweep(man: Manifold, labels: list, n_inner: int):
+    """One anchored cyclic epoch on the Stiefel or Grassmann family, run by
+    run: ``coordinate_step``'s arithmetic, bitwise, in fewer numpy calls.
+    ``rcdlin`` with cyclic selection takes each epoch so unless the trace
+    records every step; every other config steps label by label through
+    ``coordinate_step``, the reference this path is tested against.
+
+    Within a run (i, j0..j1-1) every partner row is read before it moves and
+    moves once, and the anchored carrier d does not move.  So d[i].x[j] is one
+    ``np.vecdot`` for the run, a step updates only the pivot row, and the
+    partners' halves c*x[j] - s*x[i] (x[i] as it was before that step) are
+    written as one batch when the run ends: the same products and sums in the
+    same order, and ``np.vecdot`` of contiguous rows rounds as the per-row
+    ``ndarray.dot`` does (``@`` does not)."""
+    runs = pivot_row_runs(labels, n_inner)
+    dflops, uflops = man.flop_parts(labels[0]) if labels else (0, 0)
+    scale = man.step_scale
+
+    def sweep(x, d, eta, trace, k):
+        t_per_theta = -scale * eta
+        for s0, i, j0, j1 in runs():
+            partners = x[j0:j1]
+            a = np.vecdot(d[i], partners).tolist()
+            xi = x[i]
+            moving = 0
+            moved, cs, ss, pivots = [], [], [], []
+            for s, j, aj, dj, xj in zip(range(s0, s0 + j1 - j0), range(j0, j1), a,
+                                        d[j0:j1], partners):
+                theta = aj - float(dj.dot(xi))
+                if not math.isfinite(theta):
+                    raise OptimizeAbort(k, s, "non-finite coordinate derivative")
+                if abs(theta) >= ZERO_DERIVATIVE_SKIP:
+                    moving += 1
+                    t = t_per_theta * theta
+                    if t != 0.0:
+                        c, sn = math.cos(t), math.sin(t)
+                        moved.append(j)
+                        cs.append(c)
+                        ss.append(sn)
+                        pivots.append(xi)
+                        xi = c * xi + sn * xj
+            trace.update_flops += (j1 - j0) * dflops + moving * uflops
+            if moved:
+                c = np.array(cs)[:, None]
+                sn = np.array(ss)[:, None]
+                x[moved] = c * x[moved] - sn * np.array(pivots)
+                x[i] = xi
+        return x
+
+    return sweep
 
 
 # -- column-wise baseline ----------------------------------------------------

@@ -15,20 +15,8 @@ The loop owns the stepsize schedule, the log cadences, the records, the
 finite checks and the BW halving ladder, so every optimizer honours the same
 configuration.  A run always completes its K epochs or aborts.  With S = 1 and
 randomized selection rcd and rcdlin are the same algorithm, and for
-constant-gradient objectives they coincide for any S, bitwise.
-
-Pivot-row runs.  ``rcdlin`` with cyclic selection on the Stiefel or
-Grassmann family, unless the trace records every step, takes each epoch in one
-``pivot_row_sweep`` call.  Under the anchored gradient a cyclic sweep is a
-chain of runs (i, i+1), ..., (i, n-1) on one pivot row, each partner row
-moving once per run, so a run reads its d[i].x[j] terms in one ``np.vecdot``
-and writes its partner rows in one batch at its end.  It is bitwise the
-label-by-label path: the same products and sums in the same order, and
-``np.vecdot`` of contiguous rows rounds as the per-row ``ndarray.dot`` does
-(``@`` does not).  Every other config (``rcd``, the randomized rules,
-``trace="step"``, the other families, the Lorentz trainer) steps label by
-label through ``coordinate_step``, the reference the run path is tested
-against.
+constant-gradient objectives they coincide for any S, bitwise.  Only ``run_tsd``
+names a family; the loop meets the rest through the ``Manifold`` hooks.
 
 Selection rules, one lazy label stream per epoch (``epoch_labels``): cyclic
 (position s mod |I| in enumeration order), random (uniform, rejection-sampled),
@@ -64,23 +52,14 @@ import numpy as np
 from .flops import ZERO_DERIVATIVE_SKIP
 from .indices import Pair
 from .manifolds import Manifold
+from .manifolds.base import OptimizeAbort
 from .manifolds.stiefel import tsd_column_step, tsd_enumerate, tsd_flop_parts, tsd_pair_step
 from .rng import SplitMix64
 
 ALGORITHMS = ("rcd", "rcdlin", "rgd", "tsd")
 SELECTIONS = ("cyclic", "random", "without-replacement", "time-cyclic")
 TRACES = ("step", "epoch", "none")
-
-
-class OptimizeAbort(RuntimeError):
-    """Raised when a run cannot go on (a non-finite objective or derivative, a
-    refused retraction); carries the step (k, s) and the reason."""
-
-    def __init__(self, k: int, s: int, reason: str):
-        super().__init__(f"{reason} at epoch {k}, inner step {s}")
-        self.k = k
-        self.s = s
-        self.reason = reason
+PROBE_HALVINGS = 30  # stepsize halvings before a failing epoch probe aborts
 
 
 @dataclass
@@ -186,13 +165,11 @@ def _check_finite(v: float, k: int, s: int, what: str) -> float:
 
 def coordinate_basis(man: Manifold, selection: str, labels=None) -> list:
     """The labels an epoch sweeps: ``labels`` (by default the family's
-    coordinate basis), or under time-cyclic selection the hyperbolic time
-    pairs (0, 1), ..., (0, n-1).  Every other family rejects time-cyclic."""
+    coordinate basis), or under time-cyclic selection the family's
+    ``time_cyclic_basis``."""
     if selection != "time-cyclic":
         return man.enumerate_basis() if labels is None else labels
-    if man.family != "hyperbolic":
-        raise ValueError("time-cyclic selection is only valid on the hyperbolic family")
-    return [Pair(0, j) for j in range(1, man.ambient_shape[0])]
+    return man.time_cyclic_basis()
 
 
 def _inner_steps(cfg: OptimizerConfig, labels: list) -> int:
@@ -231,78 +208,6 @@ def coordinate_step(man: Manifold, anchored_steps: int = 0):
     return step
 
 
-def pivot_row_runs(labels: list, n_inner: int):
-    """The runs of a cyclic epoch, as a function that yields them lazily:
-    (s0, i, j0, j1) for each maximal stretch of the stream that, from inner
-    step s0, steps the labels (i, j0), (i, j0+1), ..., (i, j1-1).  The stream
-    repeats ``labels`` from its start every epoch (``epoch_labels``); the
-    epoch's end and the sweep's wrap cut a run, so at n = 2, where the label
-    (0, 1) repeats, every run is one step long."""
-    cycle: list[list[int]] = []
-    for s, (i, j) in enumerate(labels):
-        if cycle and cycle[-1][1] == i and cycle[-1][3] == j:
-            cycle[-1][3] = j + 1
-        else:
-            cycle.append([s, i, j, j + 1])
-
-    def epoch():
-        for start in range(0, n_inner, max(len(labels), 1)):
-            for s0, i, j0, j1 in cycle:
-                s0 += start
-                if s0 >= n_inner:
-                    return
-                yield s0, i, j0, min(j1, j0 + n_inner - s0)
-
-    return epoch
-
-
-def pivot_row_sweep(man: Manifold, labels: list, n_inner: int):
-    """One anchored cyclic epoch on the Stiefel or Grassmann family, run by
-    run: ``coordinate_step``'s arithmetic, bitwise, in fewer numpy calls.
-
-    Within a run (i, j0..j1-1) every partner row is read before it moves and
-    moves once, and the anchored carrier d does not move.  So d[i].x[j] is one
-    ``np.vecdot`` for the run (bitwise the per-row dot), a step updates only
-    the pivot row, and the partners' halves c*x[j] - s*x[i] (x[i] as it was
-    before that step) are written as one batch when the run ends."""
-    runs = pivot_row_runs(labels, n_inner)
-    dflops, uflops = man.flop_parts(labels[0]) if labels else (0, 0)
-    scale = man.step_scale
-
-    def sweep(x, d, eta, trace, k):
-        t_per_theta = -scale * eta
-        for s0, i, j0, j1 in runs():
-            partners = x[j0:j1]
-            a = np.vecdot(d[i], partners).tolist()
-            xi = x[i]
-            moving = 0
-            moved, cs, ss, pivots = [], [], [], []
-            for s, j, aj, dj, xj in zip(range(s0, s0 + j1 - j0), range(j0, j1), a,
-                                        d[j0:j1], partners):
-                theta = aj - float(dj.dot(xi))
-                if not math.isfinite(theta):
-                    raise OptimizeAbort(k, s, "non-finite coordinate derivative")
-                if abs(theta) >= ZERO_DERIVATIVE_SKIP:
-                    moving += 1
-                    t = t_per_theta * theta
-                    if t != 0.0:
-                        c, sn = math.cos(t), math.sin(t)
-                        moved.append(j)
-                        cs.append(c)
-                        ss.append(sn)
-                        pivots.append(xi)
-                        xi = c * xi + sn * xj
-            trace.update_flops += (j1 - j0) * dflops + moving * uflops
-            if moved:
-                c = np.array(cs)[:, None]
-                sn = np.array(ss)[:, None]
-                x[moved] = c * x[moved] - sn * np.array(pivots)
-                x[i] = xi
-        return x
-
-    return sweep
-
-
 def run_rcd(man: Manifold, obj: Objective, x0: np.ndarray, cfg: OptimizerConfig):
     labels = coordinate_basis(man, cfg.selection)
     return run_epochs(man, obj, x0, cfg, labels, coordinate_step(man),
@@ -314,9 +219,8 @@ def run_rcdlin(man: Manifold, obj: Objective, x0: np.ndarray, cfg: OptimizerConf
     n_inner = _inner_steps(cfg, labels)
     step = coordinate_step(man, anchored_steps=n_inner)
     sweep = None
-    if (cfg.selection == "cyclic" and cfg.trace != "step"
-            and man.family in ("stiefel", "grassmann")):
-        sweep = pivot_row_sweep(man, labels, n_inner)
+    if cfg.selection == "cyclic" and cfg.trace != "step":
+        sweep = man.anchored_cyclic_sweep(labels, n_inner)
     return run_epochs(man, obj, x0, cfg, labels, step, fresh_oracle=False, carrier=True,
                       sweep=sweep)
 
@@ -384,7 +288,7 @@ def run_epochs(man: Manifold, obj: Objective, x0: np.ndarray, cfg: OptimizerConf
     trace = Trace(oracle_flops=obj.setup_flops, eta_used=cfg.eta)
     t0 = time.monotonic_ns() if cfg.log_wall else None
     oracle_flops = obj.grad_flops + (man.carrier_flops() if carrier else 0)
-    probe_bw = man.family == "spd_bures_wasserstein"
+    probe = man.epoch_probe
     eta = cfg.eta
     halvings = 0
     k = 0
@@ -409,7 +313,7 @@ def run_epochs(man: Manifold, obj: Objective, x0: np.ndarray, cfg: OptimizerConf
     with np.errstate(over="ignore", invalid="ignore"):
         while k < cfg.epochs:
             eta_k = eta if cfg.eta_decay == 0.0 else eta / (1.0 + cfg.eta_decay * k)
-            if probe_bw:
+            if probe is not None:
                 # a retry restores this shallow copy, which shares the record
                 # list, and cuts the list back to its length here
                 epoch_start, saved, nrec = x.copy(), replace(trace), len(trace.records)
@@ -433,17 +337,17 @@ def run_epochs(man: Manifold, obj: Objective, x0: np.ndarray, cfg: OptimizerConf
                         x = step(x, d, l, eta_k, trace, k, s)
                         if cfg.trace == "step" or (cfg.trace == "epoch" and s == n_inner - 1):
                             record(x, s)
-                probe_failed = probe_bw and man.min_eigenvalue(x) <= 0.0
+                probe_failed = probe is not None and not probe(x)
             except OptimizeAbort:
-                # on the BW family a mid-epoch overflow counts as a failed
-                # definiteness probe (the stepsize is simply too large)
-                if not probe_bw:
+                # on a family with a probe a mid-epoch abort counts as a
+                # failed probe (the stepsize is simply too large)
+                if probe is None:
                     raise
                 probe_failed = True
             if probe_failed:
-                if halvings >= 30:
-                    raise OptimizeAbort(
-                        k, 0, "definiteness probe failed after 30 stepsize halvings")
+                if halvings >= PROBE_HALVINGS:
+                    raise OptimizeAbort(k, 0, "definiteness probe failed after "
+                                              f"{PROBE_HALVINGS} stepsize halvings")
                 halvings += 1
                 eta *= 0.5
                 x, trace = epoch_start, saved

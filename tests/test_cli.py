@@ -24,7 +24,7 @@ from manifold_cd.flops import render_table
 from manifold_cd.indices import Column, Entry, Pair
 from manifold_cd.manifolds.base import FAMILIES
 from manifold_cd.manifolds.stiefel import tsd_flop_parts
-from manifold_cd.optimize import OptimizeAbort, OptimizerConfig
+from manifold_cd.optimize import OptimizeAbort, OptimizerConfig, Trace
 from manifold_cd.problems import (
     PRESETS,
     PROBLEM_FLAGS,
@@ -421,6 +421,26 @@ def test_grid_keeps_every_config_field():
         assert f != f_plain
         run = run_experiment("pca", 8, 2, 0, replace(decayed, eta=eta, trace="epoch"))
         assert f == run.final_f
+
+
+def test_grid_prefers_the_smallest_tied_eta(monkeypatch):
+    """Among final f values within 1e-12 (relative) of the best, the smallest
+    stepsize wins, wherever it sits in the grid; an aborted run scores +inf
+    and never wins, even at the smallest stepsize."""
+    finals = {0.4: 1.0, 0.1: 1.0 + 1e-13, 0.8: 1.0, 0.2: 2.0, 0.05: None}
+
+    def solve(cfg):
+        if finals[cfg.eta] is None:
+            raise OptimizeAbort(0, 0, "non-finite objective")
+        return None, Trace(unrecorded_f=finals[cfg.eta])
+
+    monkeypatch.setattr(bench, "_setup", lambda *args, **flags: (solve,))
+    best, scored = grid_search("pca", 4, 2, 0, OptimizerConfig(), etas=tuple(finals))
+    assert best == 0.1
+    assert scored == [(0.4, 1.0), (0.1, 1.0 + 1e-13), (0.8, 1.0), (0.2, 2.0),
+                      (0.05, math.inf)]
+    finals[0.1] = 1.0 + 1e-11
+    assert grid_search("pca", 4, 2, 0, OptimizerConfig(), etas=tuple(finals))[0] == 0.4
 
 
 # Tiny runs of every CLI problem; the last stepsize of the lorentz grid

@@ -1,0 +1,58 @@
+"""The engine names no family: a family reaches ``optimize.py`` only through
+the ``Manifold`` hooks (``time_cyclic_basis``, ``anchored_cyclic_sweep``,
+``epoch_probe``).
+
+Read from the syntax tree of ``optimize.py``: outside ``run_tsd``, whose
+column step lies outside the ``Manifold`` contract, no code reads a
+``.family`` attribute or holds a string literal that is a family name (or
+``"family"``, as ``getattr`` would take it)."""
+
+import ast
+from pathlib import Path
+
+import pytest
+
+from manifold_cd.manifolds.base import FAMILIES
+
+NAMES = (*FAMILIES, "family")
+ENGINE = Path(__file__).resolve().parent.parent / "src" / "manifold_cd" / "optimize.py"
+
+
+def family_names(tree, exempt: str | None = "run_tsd") -> list[str]:
+    """Every ``.family`` read and family-name literal in ``tree`` outside the
+    function named ``exempt``."""
+    skip = {id(node) for f in ast.walk(tree)
+            if isinstance(f, ast.FunctionDef) and f.name == exempt for node in ast.walk(f)}
+    names = []
+    for node in ast.walk(tree):
+        if id(node) in skip:
+            continue
+        if ((isinstance(node, ast.Attribute) and node.attr == "family")
+                or (isinstance(node, ast.Constant) and node.value in NAMES)):
+            names.append(f"line {node.lineno}: {ast.unparse(node)}")
+    return names
+
+
+@pytest.mark.parametrize("snippet, flagged", [
+    ('probe = man.family == "spd_bures_wasserstein"', True),
+    ("if getattr(man, 'family') in KNOWN: pass", True),
+    ('kind = "hyperbolic"', True),
+    ("def run_rcdlin(man):\n    return man.family", True),
+    ('def run_tsd(man):\n    return man.family in ("stiefel", "grassmann")', False),
+    ('"""the hyperbolic family"""', False),
+    ('selection = "time-cyclic"', False),
+    ("probe = man.epoch_probe", False),
+])
+def test_the_guard_reads_the_name(snippet, flagged):
+    assert bool(family_names(ast.parse(snippet))) == flagged
+
+
+def test_the_scan_sees_the_exempt_function():
+    tree = ast.parse(ENGINE.read_text(encoding="utf-8"))
+    assert family_names(tree, exempt=None)
+
+
+def test_the_engine_names_no_family():
+    tree = ast.parse(ENGINE.read_text(encoding="utf-8"), filename=str(ENGINE))
+    assert family_names(tree) == [], (
+        "optimize.py names a family: give the family a Manifold hook instead")

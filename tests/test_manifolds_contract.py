@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 from manifold_cd import ManifoldDescriptor, make_manifold
+from manifold_cd.indices import Pair
 from manifold_cd.manifolds import Manifold
 from manifold_cd.optimize import Objective, OptimizerConfig, flop_audit, optimize
 from manifold_cd.rng import SplitMix64
@@ -48,6 +49,24 @@ def test_basis_size(family_case):
     man, _ = family_case
     dims = man.descriptor.dims
     assert man.index_count() == EXPECTED_BASIS_SIZE[man.family](*dims)
+
+
+def test_engine_hooks_belong_to_their_family(family_case):
+    """Time-cyclic labels are hyperbolic, the anchored cyclic sweep is the
+    Stiefel family's and the epoch probe is BW's; every other family keeps
+    the base default, which the engine reads as "no such hook"."""
+    man, x = family_case
+    if man.family == "hyperbolic":
+        n = man.ambient_shape[0]
+        assert man.time_cyclic_basis() == [Pair(0, j) for j in range(1, n)]
+    else:
+        with pytest.raises(ValueError, match="only valid on the hyperbolic family"):
+            man.time_cyclic_basis()
+    labels = man.enumerate_basis()
+    sweep = man.anchored_cyclic_sweep(labels, len(labels))
+    assert (sweep is None) == (man.family not in ("stiefel", "grassmann"))
+    assert (man.epoch_probe is None) == (man.family != "spd_bures_wasserstein")
+    assert man.epoch_probe is None or man.epoch_probe(x) is True
 
 
 def test_random_point_feasible(family_case):

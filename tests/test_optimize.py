@@ -174,6 +174,25 @@ class TestEngine:
         assert message.startswith(f"{reason} (|t|=") and "non-finite" not in message
         assert err.value.reason == str(err.value.__cause__)
 
+    def test_clamped_steps_counted(self):
+        # eta 1 on a far target drives multinomial exponents into the clamp
+        man = make_manifold(ManifoldDescriptor("multinomial", (4, 3)))
+        a = SplitMix64(5).gaussian(4, 3)
+        obj = Objective(value=lambda x: float(np.sum((x - a) ** 2)),
+                        euclid_grad=lambda x: 2.0 * (x - a))
+        clamped = []
+        retract = man.coordinate_retract
+
+        def counted(*args, **kwargs):
+            out = retract(*args, **kwargs)
+            clamped.append(out[1])
+            return out
+
+        man.coordinate_retract = counted
+        cfg = OptimizerConfig(algorithm="rcd", epochs=3, eta=1.0, trace="epoch")
+        _, trace = run_rcd(man, obj, man.random_point(SplitMix64(1)), cfg)
+        assert trace.clamped_steps == sum(clamped) > 0
+
     def test_returned_iterate_feasible(self):
         man, obj, x0, _ = _pca_setup()
         cfg = OptimizerConfig(algorithm="rcdlin", epochs=30, eta=0.2,
@@ -391,6 +410,22 @@ class TestBaselines:
                               selection="cyclic", seed=0, trace="epoch")
         with pytest.raises(OptimizeAbort):
             run_rcd(man, obj, x0, cfg)
+
+    def test_bw_ladder_gives_up_after_30_halvings(self):
+        # a probe that always fails climbs the whole ladder at the first
+        # epoch: the first try, 30 halvings, then the abort
+        man = make_manifold(ManifoldDescriptor("spd_bures_wasserstein", (3, 3)))
+        calls = []
+        man.min_eigenvalue = lambda x: calls.append(x) or -1.0
+        target = np.diag([3.0, 2.0, 1.0])
+        obj = Objective(value=lambda x: float(np.sum((x - target) ** 2)),
+                        euclid_grad=lambda x: 2.0 * (x - target))
+        cfg = OptimizerConfig(algorithm="rcd", epochs=2, eta=0.01, trace="epoch")
+        with pytest.raises(OptimizeAbort) as err:
+            run_rcd(man, obj, np.eye(3), cfg)
+        assert (err.value.k, err.value.s) == (0, 0)
+        assert err.value.reason == "definiteness probe failed after 30 stepsize halvings"
+        assert len(calls) == 31
 
 
 class TestConfigValidation:

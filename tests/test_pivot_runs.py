@@ -1,5 +1,5 @@
 """Pivot-row runs: the anchored cyclic sweep on the Stiefel and Grassmann
-families (``optimize.pivot_row_sweep``) against ``coordinate_step``, its
+families (``manifolds.stiefel.pivot_row_sweep``) against ``coordinate_step``, its
 sequential reference.
 
 An ``rcdlin`` run with cyclic selection takes the run path unless it records
@@ -17,20 +17,19 @@ import pytest
 
 from manifold_cd import ManifoldDescriptor, make_manifold
 from manifold_cd.indices import Pair
-from manifold_cd.manifolds.stiefel import enumerate_pairs
+from manifold_cd.manifolds.stiefel import enumerate_pairs, pivot_row_runs
 from manifold_cd.optimize import (
     Objective,
     OptimizeAbort,
     OptimizerConfig,
     epoch_labels,
     optimize as run,
-    pivot_row_runs,
 )
 from manifold_cd.problems import initial_point, make_pca
 from manifold_cd.rng import SplitMix64
 
-# the module, which the package's ``optimize`` function shadows
-engine = importlib.import_module("manifold_cd.optimize")
+# the module that holds the sweep the Stiefel family's hook returns
+engine = importlib.import_module("manifold_cd.manifolds.stiefel")
 
 SIZES = [(3, 1), (5, 2), (9, 4), (14, 10), (52, 50), (150, 150)]
 
