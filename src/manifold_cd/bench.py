@@ -23,6 +23,7 @@ from .manifolds.symplectic import symplectic_block_step
 from .optimize import (
     IterationRecord,
     Objective,
+    OptimizeAbort,
     OptimizerConfig,
     Trace,
     coordinate_basis,
@@ -154,16 +155,14 @@ def grid_search(problem: str, n: int, p: int, seed: int, cfg: OptimizerConfig,
     """Run ``cfg`` at every stepsize in the grid, traced per epoch, on one
     build of the problem and return (best eta, [(eta, final f)]).
 
-    Diverged runs (non-finite objective, or a singular linear system in a
-    full-gradient projection) score +inf.
+    A run that aborts scores +inf.
     """
     solve = _setup(problem, n, p, seed, **flags)[-1]
 
     def one(eta: float) -> float:
         try:
             return solve(replace(cfg, eta=eta, trace="epoch"))[1].final_f()
-        except (RuntimeError, FloatingPointError, OverflowError,
-                np.linalg.LinAlgError):
+        except OptimizeAbort:
             return math.inf
 
     scored = [(eta, one(eta)) for eta in etas]
@@ -283,11 +282,11 @@ def run_symplectic_block_cd(spec: ProblemSpec, obj: Objective, x0: np.ndarray,
     costs = block_flops(n, p)
     pair_step = coordinate_step(man)
 
-    def step(x, g, l, eta, trace, k, s):
+    def step(x, g, l, eta, trace, s):
         if isinstance(l, str):
             trace.update_flops += costs[l]
             return symplectic_block_step(x, l, eta, g)
-        return pair_step(x, g, l, eta, trace, k, s)
+        return pair_step(x, g, l, eta, trace, s)
 
     labels = list(costs) + [Pair(i, n + j) for i in range(n) for j in range(n) if j != i]
     return run_epochs(man, obj, x0, cfg, coordinate_basis(man, cfg.selection, labels),

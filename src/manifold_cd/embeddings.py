@@ -32,11 +32,10 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .flops import ZERO_DERIVATIVE_SKIP
+from .flops import MAX_EXP_STEP, ZERO_DERIVATIVE_SKIP
 from .linalg import ROTATIONS, rotate_rows
 from .manifolds import Hyperbolic, Manifold, ManifoldDescriptor, lift_to_hyperboloid
-from .optimize import (Objective, OptimizeAbort, OptimizerConfig, coordinate_basis,
-                       run_epochs)
+from .optimize import Objective, OptimizerConfig, coordinate_basis, run_epochs
 from .rng import SplitMix64
 
 GRAD_GUARD = 1e-8
@@ -204,19 +203,19 @@ def _sweep(pairs: list):
     """The engine step: one pass over the row pairs, rotating every word at
     once.  Under the anchored gradient the words are independent columns, each
     seeing a word-by-word sweep's operations in order.  A pair charges 4 flops
-    per word and 6 per moving word; an angle above 500 aborts the run, naming
-    the word."""
+    per word and 6 per moving word; a hyperbolic angle above MAX_EXP_STEP
+    raises OverflowError before the pair is written, naming the word."""
 
-    def step(x, g, _l, eta, trace, k, s):
+    def step(x, g, _l, eta, trace, _s):
         for i, j in pairs:
             theta = g[0] * x[j] + g[j] * x[0] if i == 0 else g[i] * x[j] - g[j] * x[i]
             angle = -eta * theta
             moving = ~(np.abs(theta) < ZERO_DERIVATIVE_SKIP)
-            overflow = np.flatnonzero(moving & (np.abs(angle) > 500.0))
+            overflow = np.flatnonzero((i == 0) & moving & (np.abs(angle) > MAX_EXP_STEP))
             if overflow.size:
                 w = int(overflow[0])
-                raise OptimizeAbort(k, s, f"rotation angle overflow on word {w} "
-                                          f"(|angle|={abs(angle[w]):.3g})")
+                raise OverflowError(f"rotation angle overflow on word {w} "
+                                    f"(|angle|={abs(angle[w]):.3g})")
             m = np.flatnonzero(moving)
             trace.update_flops += 4 * x.shape[1] + 6 * m.size
             # time-row pairs rotate hyperbolically; linalg's kernel and its

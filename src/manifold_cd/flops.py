@@ -33,6 +33,8 @@ from __future__ import annotations
 # Steps with |theta| below this are skipped: the retraction returns the input
 # bitwise and only the derivative flops are charged.
 ZERO_DERIVATIVE_SKIP = 1e-300
+# An exp, cosh or sinh step with |t| above this is refused (overflow is near 710).
+MAX_EXP_STEP = 500.0
 
 
 def render_table() -> str:

@@ -29,8 +29,8 @@ import math
 import numpy as np
 
 
-class RankDeficiencyError(ValueError):
-    """Raised when a factorization meets an (numerically) rank-deficient input."""
+class RankDeficiencyError(np.linalg.LinAlgError):
+    """A factorization met a (numerically) rank-deficient input; also a ValueError."""
 
 
 def _check_pair(i: int, j: int, limit: int) -> None:

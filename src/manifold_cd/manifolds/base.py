@@ -31,10 +31,10 @@ All operations are pure unless ``inplace=True`` is passed to a retraction,
 in which case the caller must hold the array exclusively.  With t = 0 the
 retractions return the input bitwise unchanged.  ``coordinate_retract`` keeps
 both promises here, once; a family implements only ``_retract(out, l, t)``,
-which updates ``out`` in place for t != 0 and returns ``clamped``.  A step
-that cannot be taken (an exponent past the float range) must raise
-``OverflowError`` before any write, so the point is untouched and the engine
-reports the abort with its epoch and step.
+which updates ``out`` in place for t != 0 and returns ``clamped``.  A step that
+cannot be taken raises: ``_retract`` an ``OverflowError`` before any write,
+``full_retract`` and ``riemannian_gradient`` an ArithmeticError or LinAlgError;
+the epoch loop reports it as ``OptimizeAbort`` with its epoch and step.
 
 Engine hooks.  The epoch loop names no family: the hooks below bring what one
 family needs of it, and their defaults keep every other family out.
@@ -136,9 +136,8 @@ class Manifold(ABC):
 
     def check_shape(self, x: np.ndarray) -> None:
         if x.shape != self.ambient_shape:
-            raise ValueError(
-                f"{self.family} point must have shape {self.ambient_shape}, got {x.shape}"
-            )
+            raise ValueError(f"{type(self).__name__} point must have shape "
+                             f"{self.ambient_shape}, got {x.shape}")
 
     @abstractmethod
     def feasibility_residual(self, x: np.ndarray) -> float: ...

@@ -98,8 +98,8 @@ def full_sinkhorn(
     max_iters: int = 10_000,
 ) -> np.ndarray:
     """Alternating row/column normalization to the prescribed marginals."""
-    if np.any(u <= 0.0):
-        raise ValueError("full_sinkhorn needs a strictly positive matrix")
+    if not np.all((u > 0.0) & (u < math.inf)):
+        raise ValueError("full_sinkhorn needs a strictly positive finite matrix")
     x = u.copy()
     for sweeps in range(max_iters + 1):
         row_err = np.max(np.abs(x.sum(axis=1) - mu))
@@ -184,7 +184,10 @@ class DoublyStochastic(Manifold):
         return clamped
 
     def full_retract(self, x, u, t):
-        return full_sinkhorn(x * np.exp(t * u / x), self.mu, self.nu)
+        try:
+            return full_sinkhorn(x * np.exp(t * u / x), self.mu, self.nu)
+        except (ValueError, RuntimeError) as exc:  # an entry under/overflowed, or a stall
+            raise FloatingPointError(str(exc)) from exc
 
     def flop_parts(self, l):
         return 3, 122

@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import numpy as np
 
+from ..flops import MAX_EXP_STEP
 from ..indices import Pair
 from ..linalg import apply_rotation
 from ..rng import SplitMix64
@@ -63,12 +64,10 @@ class Hyperbolic(Manifold):
 
     def _retract(self, out, l, t):
         i, j = l
+        if i == 0 and abs(t) > MAX_EXP_STEP:
+            raise OverflowError(f"hyperbolic rotation overflow (|t|={abs(t):.3g})")
         kind = "hyperbolic" if i == 0 else "circular"
-        try:
-            apply_rotation(out, i, j, t, "left", kind, inplace=True)
-        except OverflowError as exc:
-            # math.cosh raised before either row was written
-            raise OverflowError(f"hyperbolic rotation overflow (|t|={abs(t):.3g})") from exc
+        apply_rotation(out, i, j, t, "left", kind, inplace=True)
         return False
 
     def full_retract(self, x, u, t):

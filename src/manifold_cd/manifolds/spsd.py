@@ -188,4 +188,4 @@ class SpdBuresWasserstein(Manifold):
         return float(lam[0])
 
     def epoch_probe(self, x) -> bool:
-        return self.min_eigenvalue(x) > 0.0
+        return bool(np.isfinite(x).all()) and self.min_eigenvalue(x) > 0.0

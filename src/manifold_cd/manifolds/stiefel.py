@@ -132,7 +132,8 @@ def pivot_row_sweep(man: Manifold, labels: list, n_inner: int):
     partners' halves c*x[j] - s*x[i] (x[i] as it was before that step) are
     written as one batch when the run ends: the same products and sums in the
     same order, and ``np.vecdot`` of contiguous rows rounds as the per-row
-    ``ndarray.dot`` does (``@`` does not)."""
+    ``ndarray.dot`` does (``@`` does not).  Only the sweep knows the step (k, s)
+    of a non-finite derivative inside a run, so it raises ``OptimizeAbort``."""
     runs = pivot_row_runs(labels, n_inner)
     dflops, uflops = man.flop_parts(labels[0]) if labels else (0, 0)
     scale = man.step_scale
@@ -203,6 +204,8 @@ def tsd_column_step(x, k, eta, g):
     gk = g[:, k]
     v = -eta * (gk - x @ (x.T @ gk))
     r = float(np.linalg.norm(v))
+    if not math.isfinite(r):
+        raise OverflowError(f"sphere step overflow on column {k} (|v|={r:.3g})")
     if r < 1e-14:
         return x, 0.0
     x[:, k] = math.cos(r) * x[:, k] + (math.sin(r) / r) * v

@@ -19,6 +19,7 @@ import math
 
 import numpy as np
 
+from ..flops import MAX_EXP_STEP
 from ..indices import Pair
 from ..linalg import sym_eig
 from ..rng import SplitMix64
@@ -84,7 +85,7 @@ class Symplectic(Manifold):
     def _retract(self, out, l, t):
         i, j = l
         if j == i + self.n:
-            if abs(t) > 500.0:
+            if abs(t) > MAX_EXP_STEP:
                 raise OverflowError(f"scaling step overflow (|t|={abs(t):.3g})")
             out[i] = math.exp(-t) * out[i]
             out[j] = math.exp(t) * out[j]

@@ -13,7 +13,8 @@ Every optimizer, and the Lorentz trainer in ``embeddings``, is one epoch loop
 
 The loop owns the stepsize schedule, the log cadences, the records, the
 finite checks and the BW halving ladder, so every optimizer honours the same
-configuration.  A run always completes its K epochs or aborts.  With S = 1 and
+configuration.  A run completes its K epochs or ends in OptimizeAbort(k, s,
+reason): a step only raises, and the loop alone locates it.  With S = 1 and
 randomized selection rcd and rcdlin are the same algorithm, and for
 constant-gradient objectives they coincide for any S, bitwise.  Only ``run_tsd``
 names a family; the loop meets the rest through the ``Manifold`` hooks.
@@ -185,18 +186,15 @@ def coordinate_step(man: Manifold, anchored_steps: int = 0):
     scale = man.step_scale
     last = anchored_steps - 1
 
-    def step(x, d, l, eta, trace, k, s):
+    def step(x, d, l, eta, trace, s):
         theta = man.coordinate_derivative_from_carrier(x, d, l)
-        _check_finite(theta, k, s, "coordinate derivative")
+        if not math.isfinite(theta):
+            raise FloatingPointError("non-finite coordinate derivative")
         dflops, uflops = man.flop_parts(l)
         trace.update_flops += dflops
         if abs(theta) >= ZERO_DERIVATIVE_SKIP:
             t = -scale * eta * theta
-            try:
-                x, clamped = man.coordinate_retract(x, l, t, inplace=True)
-            except OverflowError as exc:
-                # refused before any row is written; the family names the overflow
-                raise OptimizeAbort(k, s, str(exc)) from exc
+            x, clamped = man.coordinate_retract(x, l, t, inplace=True)
             trace.update_flops += uflops
             if clamped:
                 trace.clamped_steps += 1
@@ -230,7 +228,7 @@ def run_rgd(man: Manifold, obj: Objective, x0: np.ndarray, cfg: OptimizerConfig)
     if cfg.selection != "cyclic" or cfg.inner is not None:
         raise ValueError("rgd takes one full step per epoch: use cyclic selection, no inner")
 
-    def step(x, g, _l, eta, trace, _k, _s):
+    def step(x, g, _l, eta, trace, _s):
         trace.update_flops += man.rgd_flops()
         return man.full_retract(x, man.riemannian_gradient(x, g), -eta)
 
@@ -243,7 +241,7 @@ def run_tsd(man: Manifold, obj: Objective, x0: np.ndarray, cfg: OptimizerConfig)
         raise ValueError("the column-wise baseline runs on the Stiefel family")
     n, p = man.ambient_shape
 
-    def step(x, g, l, eta, trace, _k, _s):
+    def step(x, g, l, eta, trace, _s):
         dflops, uflops = tsd_flop_parts(l, n, p)
         trace.update_flops += dflops
         if isinstance(l, Pair):
@@ -266,7 +264,7 @@ def optimize(man: Manifold, obj: Objective, x0: np.ndarray, cfg: OptimizerConfig
 def run_epochs(man: Manifold, obj: Objective, x0: np.ndarray, cfg: OptimizerConfig,
                labels: list, step, fresh_oracle: bool, carrier: bool = False,
                sweep=None):
-    """The epoch loop of every optimizer.  ``step(x, d, l, eta, trace, k, s)``
+    """The epoch loop of every optimizer.  ``step(x, d, l, eta, trace, s)``
     takes the step at label ``l``, charges its update flops and returns the
     new point; ``d`` is the oracle's output, the derivative carrier with
     ``carrier`` set and the Euclidean gradient otherwise.  The oracle runs
@@ -274,9 +272,8 @@ def run_epochs(man: Manifold, obj: Objective, x0: np.ndarray, cfg: OptimizerConf
     ``sweep(x, d, eta, trace, k)``, given only with the oracle once per epoch
     and no per-step records, takes all of an epoch's steps in one call.
 
-    Every record's objective is checked to be finite.  A run that keeps no
-    record (``trace="none"``) checks its objective once, at the end, and
-    aborts at the last step taken, (K-1, S-1).
+    Every record's objective is checked to be finite; a run that keeps no
+    record (``trace="none"``) checks it once, at the last step, (K-1, S-1).
     """
     man.check_shape(x0)
     n_inner = _inner_steps(cfg, labels)
@@ -332,9 +329,12 @@ def run_epochs(man: Manifold, obj: Objective, x0: np.ndarray, cfg: OptimizerConf
                             record(x, n_inner - 1)
                 else:
                     for s, l in enumerate(epoch_labels(cfg.selection, labels, n_inner, rng)):
-                        if fresh_oracle or s == 0:
-                            d = oracle(x)
-                        x = step(x, d, l, eta_k, trace, k, s)
+                        try:
+                            if fresh_oracle or s == 0:
+                                d = oracle(x)
+                            x = step(x, d, l, eta_k, trace, s)
+                        except (ArithmeticError, np.linalg.LinAlgError) as exc:
+                            raise OptimizeAbort(k, s, str(exc)) from exc
                         if cfg.trace == "step" or (cfg.trace == "epoch" and s == n_inner - 1):
                             record(x, s)
                 probe_failed = probe is not None and not probe(x)
@@ -355,9 +355,9 @@ def run_epochs(man: Manifold, obj: Objective, x0: np.ndarray, cfg: OptimizerConf
                 trace.eta_used = eta
                 continue
             k += 1
-    if not trace.records:
-        trace.unrecorded_f = _check_finite(obj.value(x), k - 1, max(n_inner - 1, 0),
-                                           "objective")
+        if not trace.records:
+            trace.unrecorded_f = _check_finite(obj.value(x), k - 1, max(n_inner - 1, 0),
+                                               "objective")
     return x, trace
 
 

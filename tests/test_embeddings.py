@@ -17,8 +17,9 @@ from manifold_cd.embeddings import (
     train,
 )
 from manifold_cd.manifolds import ManifoldDescriptor, lift_to_hyperboloid, make_manifold
-from manifold_cd.optimize import OptimizeAbort, OptimizerConfig
+from manifold_cd.optimize import OptimizeAbort, OptimizerConfig, Trace
 from manifold_cd.problems import PRESETS
+from manifold_cd.rng import SplitMix64
 from reference import edge_separation, hyperbolic_distance
 
 
@@ -285,6 +286,25 @@ def test_angle_overflow_aborts_with_location():
     assert err.value.reason.startswith("rotation angle overflow on word 3 (|angle|=")
     _, scored = grid_search("lorentz", 3, 10, 3, cfg, etas=(0.05, 0.2))
     assert math.isfinite(scored[0][1]) and scored[1][1] == math.inf
+
+
+def test_only_time_row_pairs_refuse_a_large_angle():
+    # a circular rotation never overflows, so a space pair takes any angle;
+    # a time-row pair past MAX_EXP_STEP raises before the pair is written
+    x = initial_embedding(make_lorentz_embed(3, 4, 0))
+    g = SplitMix64(1).gaussian(3, 4)
+    y = embeddings._sweep([(1, 2)])(x.copy(), g, None, 1e6, Trace(), 0)
+    assert not np.array_equal(y, x)
+    assert _column_feasibility(y) <= 1e-12
+    y = x.copy()
+    with pytest.raises(OverflowError, match=r"rotation angle overflow on word \d"):
+        embeddings._sweep([(0, 1)])(y, g, None, 1e6, Trace(), 0)
+    assert np.array_equal(y, x)
+
+
+def test_wrong_shape_names_both_shapes():
+    with pytest.raises(ValueError, match=r"shape \(3, 4\), got \(2, 2\)"):
+        embeddings.HyperboloidColumns(3, 4).check_shape(np.zeros((2, 2)))
 
 
 def test_trace_none_and_wall_clock():

@@ -160,6 +160,24 @@ class TestThinQr:
         with pytest.raises(RankDeficiencyError):
             thin_qr(a)
 
+    @pytest.mark.parametrize("pivot, full_rank", [(1e-10, True), (1e-13, False)])
+    def test_rank_threshold_is_1e_12_of_the_norm(self, pivot, full_rank):
+        # the threshold is 1e-12 * ||a|| = 1.4e-12 here
+        a = np.eye(4)[:, :3]
+        a[2, 2] = pivot
+        if full_rank:
+            q, r = thin_qr(a)
+            assert np.array_equal(np.abs(np.diagonal(r)), [1.0, 1.0, pivot])
+        else:
+            with pytest.raises(RankDeficiencyError):
+                thin_qr(a)
+
+    def test_rank_deficiency_is_a_linalg_error(self):
+        # the epoch loop reports a LinAlgError as a refused step; existing
+        # ``except ValueError`` callers still catch it
+        assert issubclass(RankDeficiencyError, np.linalg.LinAlgError)
+        assert issubclass(RankDeficiencyError, ValueError)
+
     def test_large_random_reconstruction(self):
         a = SplitMix64(9).gaussian(200, 200)
         q, r = thin_qr(a)

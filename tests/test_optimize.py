@@ -22,8 +22,10 @@ from manifold_cd.optimize import (
     run_rgd,
     run_tsd,
 )
+from manifold_cd.linalg import RankDeficiencyError
 from manifold_cd.problems import (
     initial_point,
+    make_ds_quadratic,
     make_pca,
     make_procrustes,
     make_weighted_ls,
@@ -155,9 +157,9 @@ class TestEngine:
     ])
     def test_hyperbolic_rotation_overflow_aborts_with_location(
             self, algo, runner, family, dims, scale, eta, s, reason):
-        # a far target and a large stepsize drive the hyperbolic angle past
-        # what math.cosh can represent on the second step, and the first
-        # symplectic scaling pair (step 3) past |t| = 500
+        # a far target and a large stepsize drive the hyperbolic angle on
+        # the second step, and the first symplectic scaling pair (step 3),
+        # past |t| = MAX_EXP_STEP
         man = make_manifold(ManifoldDescriptor(family, dims))
         x0 = man.random_point(SplitMix64(0))
         a = scale * SplitMix64(1).gaussian(*man.ambient_shape)
@@ -426,6 +428,75 @@ class TestBaselines:
         assert (err.value.k, err.value.s) == (0, 0)
         assert err.value.reason == "definiteness probe failed after 30 stepsize halvings"
         assert len(calls) == 31
+
+
+class TestRefusedSteps:
+    """A step that a family cannot take raises an ArithmeticError or a
+    LinAlgError; the epoch loop reports it as OptimizeAbort at that step,
+    the family's exception as its cause."""
+
+    @staticmethod
+    def _abort(runner, problem, cfg):
+        spec, obj, _ = problem
+        with pytest.raises(OptimizeAbort) as err:
+            runner(make_manifold(spec.descriptor), obj, initial_point(spec), cfg)
+        return err.value
+
+    def test_ds_rgd_step_that_leaves_the_positive_orthant(self):
+        # exp(t u / x) under- and overflows at eta 1e8: full_sinkhorn's
+        # ValueError becomes the family's FloatingPointError
+        abort = self._abort(run_rgd, make_ds_quadratic(5, 4, 0),
+                            OptimizerConfig(algorithm="rgd", epochs=6, eta=1e8))
+        assert (abort.k, abort.s) == (0, 0)
+        assert abort.reason == "full_sinkhorn needs a strictly positive finite matrix"
+        assert isinstance(abort.__cause__, FloatingPointError)
+        assert isinstance(abort.__cause__.__cause__, ValueError)
+
+    @pytest.mark.parametrize("eta, k, residual", [(0.5, 2, "1.125e-11"), (1.0, 1, "2.887e-08")])
+    def test_ds_rgd_step_whose_balancing_stalls(self, eta, k, residual):
+        man = make_manifold(ManifoldDescriptor("doubly_stochastic", (3, 3)))
+        a = 5.0 * SplitMix64(2).gaussian(3, 3)
+        obj = Objective(value=lambda x: float(np.sum((x - a) ** 2)),
+                        euclid_grad=lambda x: 2.0 * (x - a))
+        cfg = OptimizerConfig(algorithm="rgd", epochs=5, eta=eta)
+        with pytest.raises(OptimizeAbort) as err:
+            run_rgd(man, obj, man.random_point(SplitMix64(1)), cfg)
+        assert (err.value.k, err.value.s) == (k, 0)
+        assert err.value.reason == f"sinkhorn stalled: residual {residual}"
+        assert isinstance(err.value.__cause__, FloatingPointError)
+        assert isinstance(err.value.__cause__.__cause__, RuntimeError)
+
+    def test_tsd_sphere_step_overflow(self):
+        # the projected gradient's norm overflows, where math.cos(inf)
+        # would raise a bare ValueError
+        abort = self._abort(run_tsd, make_procrustes(6, 3, 0),
+                            OptimizerConfig(algorithm="tsd", epochs=6, eta=1e160))
+        assert (abort.k, abort.s) == (0, 3)
+        assert abort.reason == "sphere step overflow on column 0 (|v|=inf)"
+        assert isinstance(abort.__cause__, OverflowError)
+
+    def test_stiefel_rgd_rank_deficient_step(self):
+        abort = self._abort(run_rgd, make_pca(6, 3, 1e3, 0),
+                            OptimizerConfig(algorithm="rgd", epochs=6, eta=1e160))
+        assert (abort.k, abort.s) == (0, 0)
+        assert abort.reason == "input is numerically rank deficient"
+        assert isinstance(abort.__cause__, RankDeficiencyError)
+
+    def test_bw_probe_fails_on_a_non_finite_point(self):
+        # under "epoch" a record's non-finite f fails the probe mid-epoch;
+        # under "none" only the end-of-epoch probe sees the point, so the
+        # ladder gives up one epoch later, but both runs end in the ladder
+        man = make_manifold(ManifoldDescriptor("spd_bures_wasserstein", (4, 4)))
+        target = np.diag([5.0, 4.0, 3.0, 2.0])
+        obj = Objective(value=lambda x: float(np.sum((x - target) ** 2)),
+                        euclid_grad=lambda x: 2.0 * (x - target))
+        assert man.epoch_probe(np.full((4, 4), np.nan)) is False
+        for trace, k in (("epoch", 3), ("none", 4)):
+            cfg = OptimizerConfig(algorithm="rgd", epochs=5, eta=1e3, trace=trace)
+            with pytest.raises(OptimizeAbort) as err:
+                run_rgd(man, obj, np.eye(4), cfg)
+            assert (err.value.k, err.value.s) == (k, 0)
+            assert err.value.reason == "definiteness probe failed after 30 stepsize halvings"
 
 
 class TestConfigValidation:

@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 from manifold_cd import ManifoldDescriptor, make_manifold
+from manifold_cd.flops import MAX_EXP_STEP
 from manifold_cd.linalg import apply_rotation
 from manifold_cd.manifolds.hyperbolic import (
     apply_j,
@@ -208,6 +209,17 @@ class TestHyperbolic:
         man = make_manifold(ManifoldDescriptor("hyperbolic", (6, 1)))
         assert man.feasibility_residual(x) <= 1e-12
 
+    def test_only_a_time_pair_refuses_a_large_step(self):
+        # past MAX_EXP_STEP (well short of cosh's overflow near 710) a time
+        # pair raises before any write; a space pair takes any angle
+        y = self.x.copy()
+        with pytest.raises(OverflowError, match=r"hyperbolic rotation overflow \(\|t\|=600\)"):
+            self.man.coordinate_retract(y, Pair(0, 2), -600.0, inplace=True)
+        assert np.array_equal(y, self.x)
+        self.man.coordinate_retract(y, Pair(0, 2), MAX_EXP_STEP, inplace=True)
+        out, _ = self.man.coordinate_retract(self.x, Pair(1, 3), 1e300)
+        assert np.array_equal(out, apply_rotation(self.x, 1, 3, 1e300))
+
     def test_random_point_rejects_wide(self):
         man = make_manifold(ManifoldDescriptor("hyperbolic", (5, 2)))
         with pytest.raises(ValueError):
@@ -327,6 +339,15 @@ class TestColumnwiseBaseline:
         out, moved = tsd_column_step(self.x.copy(), 1, 0.1, g)
         assert moved == 0.0
         assert np.array_equal(out[:, 1], self.x[:, 1])
+
+    def test_column_step_overflow_raises_before_writing(self):
+        # the step's norm overflows, where math.cos(inf) would be a bare ValueError
+        y = self.x.copy()
+        g = SplitMix64(85).gaussian(7, 3)
+        with np.errstate(over="ignore"), pytest.raises(
+                OverflowError, match=r"sphere step overflow on column 2 \(\|v\|=inf\)"):
+            tsd_column_step(y, 2, 1e308, g)
+        assert np.array_equal(y, self.x)
 
     def test_feasibility_after_mixed_steps(self):
         y = self.x.copy()
