@@ -203,15 +203,18 @@ def _sweep(pairs: list):
     """The engine step: one pass over the row pairs, rotating every word at
     once.  Under the anchored gradient the words are independent columns, each
     seeing a word-by-word sweep's operations in order.  A pair charges 4 flops
-    per word and 6 per moving word; a hyperbolic angle above MAX_EXP_STEP
-    raises OverflowError before the pair is written, naming the word."""
+    per word and 6 per moving word; a hyperbolic angle above MAX_EXP_STEP, or
+    an infinite circular one, raises OverflowError before the pair is
+    written, naming the word."""
 
     def step(x, g, _l, eta, trace, _s):
         for i, j in pairs:
             theta = g[0] * x[j] + g[j] * x[0] if i == 0 else g[i] * x[j] - g[j] * x[i]
             angle = -eta * theta
             moving = ~(np.abs(theta) < ZERO_DERIVATIVE_SKIP)
-            overflow = np.flatnonzero((i == 0) & moving & (np.abs(angle) > MAX_EXP_STEP))
+            # a circular angle overflows only to inf
+            bad = np.abs(angle) > MAX_EXP_STEP if i == 0 else np.isinf(angle)
+            overflow = np.flatnonzero(moving & bad)
             if overflow.size:
                 w = int(overflow[0])
                 raise OverflowError(f"rotation angle overflow on word {w} "

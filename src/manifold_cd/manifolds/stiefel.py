@@ -133,7 +133,8 @@ def pivot_row_sweep(man: Manifold, labels: list, n_inner: int):
     written as one batch when the run ends: the same products and sums in the
     same order, and ``np.vecdot`` of contiguous rows rounds as the per-row
     ``ndarray.dot`` does (``@`` does not).  Only the sweep knows the step (k, s)
-    of a non-finite derivative inside a run, so it raises ``OptimizeAbort``."""
+    of a non-finite derivative or angle inside a run, so it raises
+    ``OptimizeAbort``."""
     runs = pivot_row_runs(labels, n_inner)
     dflops, uflops = man.flop_parts(labels[0]) if labels else (0, 0)
     scale = man.step_scale
@@ -154,6 +155,8 @@ def pivot_row_sweep(man: Manifold, labels: list, n_inner: int):
                 if abs(theta) >= ZERO_DERIVATIVE_SKIP:
                     moving += 1
                     t = t_per_theta * theta
+                    if not math.isfinite(t):
+                        raise OptimizeAbort(k, s, f"coordinate step overflow (|t|={abs(t):.3g})")
                     if t != 0.0:
                         c, sn = math.cos(t), math.sin(t)
                         moved.append(j)
@@ -187,10 +190,14 @@ def tsd_pair_derivative(x: np.ndarray, g: np.ndarray, i: int, j: int) -> float:
 
 
 def tsd_pair_step(x, i, j, eta, g):
-    """Column-pair rotation step on ``x``, in place."""
+    """Column-pair rotation step on ``x``, in place; an infinite angle
+    raises OverflowError before the write."""
     theta = tsd_pair_derivative(x, g, i, j)
     if theta == 0.0:
         return x, theta
+    if not math.isfinite(eta * theta):
+        raise OverflowError(f"rotation angle overflow on columns {i}, {j} "
+                            f"(|t|={abs(eta * theta):.3g})")
     # X @ G_ij(-eta*theta) recombines columns with the opposite sign convention
     return apply_rotation(x, i, j, eta * theta, "right", "circular", inplace=True), theta
 

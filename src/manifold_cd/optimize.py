@@ -14,10 +14,11 @@ Every optimizer, and the Lorentz trainer in ``embeddings``, is one epoch loop
 The loop owns the stepsize schedule, the log cadences, the records, the
 finite checks and the BW halving ladder, so every optimizer honours the same
 configuration.  A run completes its K epochs or ends in OptimizeAbort(k, s,
-reason): a step only raises, and the loop alone locates it.  With S = 1 and
-randomized selection rcd and rcdlin are the same algorithm, and for
-constant-gradient objectives they coincide for any S, bitwise.  Only ``run_tsd``
-names a family; the loop meets the rest through the ``Manifold`` hooks.
+reason): a step, an oracle or an epoch-start log only raises, and the loop
+alone locates it.  With S = 1 and randomized selection rcd and rcdlin are
+the same algorithm, and for constant-gradient objectives they coincide for
+any S, bitwise.  Only ``run_tsd`` names a family; the loop meets the rest
+through the ``Manifold`` hooks.
 
 Selection rules, one lazy label stream per epoch (``epoch_labels``): cyclic
 (position s mod |I| in enumeration order), random (uniform, rejection-sampled),
@@ -194,6 +195,8 @@ def coordinate_step(man: Manifold, anchored_steps: int = 0):
         trace.update_flops += dflops
         if abs(theta) >= ZERO_DERIVATIVE_SKIP:
             t = -scale * eta * theta
+            if not math.isfinite(t):
+                raise OverflowError(f"coordinate step overflow (|t|={abs(t):.3g})")
             x, clamped = man.coordinate_retract(x, l, t, inplace=True)
             trace.update_flops += uflops
             if clamped:
@@ -316,27 +319,29 @@ def run_epochs(man: Manifold, obj: Objective, x0: np.ndarray, cfg: OptimizerConf
                 epoch_start, saved, nrec = x.copy(), replace(trace), len(trace.records)
             epoch_grad = None
             epoch_feas = None
-            if cfg.grad_log_every and k % cfg.grad_log_every == 0:
-                epoch_grad = man.gradient_norm(x, obj.euclid_grad(x))
-                trace.instrumentation_flops += obj.grad_flops
-            if cfg.feas_log_every and k % cfg.feas_log_every == 0:
-                epoch_feas = man.feasibility_residual(x)
+            s = 0
             try:
-                if sweep is not None:
-                    if n_inner:
-                        x = sweep(x, oracle(x), eta_k, trace, k)
-                        if cfg.trace == "epoch":
-                            record(x, n_inner - 1)
-                else:
-                    for s, l in enumerate(epoch_labels(cfg.selection, labels, n_inner, rng)):
-                        try:
+                # the one converter: a refusal is located at the step s reached
+                try:
+                    if cfg.grad_log_every and k % cfg.grad_log_every == 0:
+                        epoch_grad = man.gradient_norm(x, obj.euclid_grad(x))
+                        trace.instrumentation_flops += obj.grad_flops
+                    if cfg.feas_log_every and k % cfg.feas_log_every == 0:
+                        epoch_feas = man.feasibility_residual(x)
+                    if sweep is not None:
+                        if n_inner:
+                            x = sweep(x, oracle(x), eta_k, trace, k)
+                            if cfg.trace == "epoch":
+                                record(x, n_inner - 1)
+                    else:
+                        for s, l in enumerate(epoch_labels(cfg.selection, labels, n_inner, rng)):
                             if fresh_oracle or s == 0:
                                 d = oracle(x)
                             x = step(x, d, l, eta_k, trace, s)
-                        except (ArithmeticError, np.linalg.LinAlgError) as exc:
-                            raise OptimizeAbort(k, s, str(exc)) from exc
-                        if cfg.trace == "step" or (cfg.trace == "epoch" and s == n_inner - 1):
-                            record(x, s)
+                            if cfg.trace == "step" or (cfg.trace == "epoch" and s == n_inner - 1):
+                                record(x, s)
+                except (ArithmeticError, np.linalg.LinAlgError) as exc:
+                    raise OptimizeAbort(k, s, str(exc)) from exc
                 probe_failed = probe is not None and not probe(x)
             except OptimizeAbort:
                 # on a family with a probe a mid-epoch abort counts as a

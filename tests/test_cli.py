@@ -276,11 +276,14 @@ def test_untraced_diverged_run_fails(capsys):
     assert captured.err == "error: non-finite objective at epoch 29, inner step 0\n"
 
 
-def test_grid_scores_singular_projection_as_diverged(capsys):
+@pytest.mark.parametrize("logs", [[], ["--grad-log", "1"]], ids=["plain", "grad-log"])
+def test_grid_scores_singular_projection_as_diverged(capsys, logs):
+    # with --grad-log the epoch-start log meets the singular projection
+    # before the step does; the loop locates both
     code = _run_cli([
         "grid", "--problem", "nearest-symplectic", "--algo", "rgd",
         "--n", "4", "--p", "2", "--epochs", "20", "--seed", "1",
-    ])
+    ] + logs)
     assert code == 0
     captured = capsys.readouterr()
     assert json.loads(captured.out)["eta"] == 0.5

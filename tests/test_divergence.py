@@ -1,9 +1,9 @@
 """Divergence has one shape: a started run either completes its K epochs with a
 finite objective or ends in ``OptimizeAbort(k, s, reason)`` with 0 <= k < K,
-whatever the stepsize, the algorithm or the trace mode.  Stepsizes up to
-1e300 drive every family past its float range: an exponent overflows, a
-factorization meets a singular input, a balancing stalls.  Each run here is
-a few epochs at tiny sizes."""
+whatever the stepsize, the algorithm, the trace mode or the epoch-start
+logs.  Stepsizes up to 1e308 drive every family past its float range: an
+exponent or a rotation angle overflows, a factorization meets a singular
+input, a balancing stalls.  Each run here is a few epochs at tiny sizes."""
 
 import math
 
@@ -25,6 +25,11 @@ from manifold_cd.problems import PROBLEMS
 from manifold_cd.rng import SplitMix64
 
 EPOCHS = 4
+
+
+# every trace mode, and the untraced run that still computes the epoch-start
+# gradient-norm and feasibility logs on a point no record has checked
+MODES = [(trace, 0) for trace in TRACES] + [("none", 1)]
 
 
 def _assert_one_shape(solve, cfg):
@@ -62,10 +67,11 @@ def test_cli_problem_runs_end_finite_or_abort(problem, algo, selection):
         with pytest.raises(ValueError):
             solve(base)
         pytest.skip("configuration error")
-    for trace in TRACES:
-        for eta in (0.5, 1e3, 1e8, 1e30, 1e160, 1e300):
+    for trace, logs in MODES:
+        for eta in (0.5, 1e3, 1e8, 1e30, 1e160, 1e300, 1e308):
             _assert_one_shape(solve, OptimizerConfig(
-                algorithm=algo, selection=selection, epochs=EPOCHS, eta=eta, trace=trace))
+                algorithm=algo, selection=selection, epochs=EPOCHS, eta=eta, trace=trace,
+                grad_log_every=logs, feas_log_every=logs))
 
 
 FAMILY_DIMS = {"stiefel": (4, 2), "grassmann": (4, 2), "hyperbolic": (4, 1),
@@ -95,7 +101,8 @@ def test_family_runs_end_finite_or_abort(family, algo):
     man = make_manifold(ManifoldDescriptor(family, FAMILY_DIMS[family]))
     obj = _distance_objective(man)
     x0 = man.random_point(SplitMix64(1))
-    for trace in TRACES:
-        for eta in (0.5, 1e3, 1e30, 1e300):
+    for trace, logs in MODES:
+        for eta in (0.5, 1e3, 1e30, 1e300, 1e308):
             _assert_one_shape(lambda cfg: optimize(man, obj, x0, cfg), OptimizerConfig(
-                algorithm=algo, epochs=EPOCHS, eta=eta, trace=trace))
+                algorithm=algo, epochs=EPOCHS, eta=eta, trace=trace,
+                grad_log_every=logs, feas_log_every=logs))

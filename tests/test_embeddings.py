@@ -289,17 +289,20 @@ def test_angle_overflow_aborts_with_location():
 
 
 def test_only_time_row_pairs_refuse_a_large_angle():
-    # a circular rotation never overflows, so a space pair takes any angle;
-    # a time-row pair past MAX_EXP_STEP raises before the pair is written
+    # a circular rotation overflows only to inf, so a space pair takes any
+    # finite angle; a time-row pair past MAX_EXP_STEP, or a space pair whose
+    # angle is inf, raises before the pair is written
     x = initial_embedding(make_lorentz_embed(3, 4, 0))
     g = SplitMix64(1).gaussian(3, 4)
     y = embeddings._sweep([(1, 2)])(x.copy(), g, None, 1e6, Trace(), 0)
     assert not np.array_equal(y, x)
     assert _column_feasibility(y) <= 1e-12
-    y = x.copy()
-    with pytest.raises(OverflowError, match=r"rotation angle overflow on word \d"):
-        embeddings._sweep([(0, 1)])(y, g, None, 1e6, Trace(), 0)
-    assert np.array_equal(y, x)
+    for pair, grad, eta in [((0, 1), g, 1e6), ((1, 2), 100.0 * g, 1e308)]:
+        y = x.copy()
+        with np.errstate(over="ignore"), pytest.raises(
+                OverflowError, match=r"rotation angle overflow on word \d"):
+            embeddings._sweep([pair])(y, grad, None, eta, Trace(), 0)
+        assert np.array_equal(y, x)
 
 
 def test_wrong_shape_names_both_shapes():

@@ -155,6 +155,23 @@ class TestParity:
         assert where[0] == where[1]
         assert where[0][0] == 1
 
+    def test_infinite_angle_aborts_at_same_step(self):
+        # a far target's finite derivative times eta 1e308 overflows the
+        # angle to inf
+        man, _, x0 = _target_problem("stiefel", 8, 2)
+        a = 50.0 * SplitMix64(1).gaussian(8, 2)
+        obj = Objective(value=lambda x: 0.5 * float(np.sum((x - a) ** 2)),
+                        euclid_grad=lambda x: x - a)
+        ends = []
+        for trace in ("epoch", "step"):
+            cfg = OptimizerConfig(algorithm="rcdlin", selection="cyclic", epochs=3,
+                                  eta=1e308, trace=trace)
+            with pytest.raises(OptimizeAbort) as err:
+                run(man, obj, x0, cfg)
+            ends.append((err.value.k, err.value.s, err.value.reason))
+        assert ends[0] == ends[1]
+        assert ends[0][2] == "coordinate step overflow (|t|=inf)"
+
 
 class TestSequentialPathKept:
     """Every config outside the run path's reach still steps label by label."""
