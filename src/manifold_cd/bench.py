@@ -216,8 +216,7 @@ class MaskedFactoredSpsd(FactoredSpsd):
         # re-anchoring copies the residual the steps keep exact
         return 0
 
-    def update_carrier(self, carrier, y, l, t):
-        super().update_carrier(carrier, y, l, t)
+    def carrier_update_flops(self):
         # priced in the update part of every step, the last one included
         return 0
 

@@ -38,6 +38,12 @@ the epoch loop reports it as ``OptimizeAbort`` with its epoch and step.
 
 Engine hooks.  The epoch loop names no family: the hooks below bring what one
 family needs of it, and their defaults keep every other family out.
+``time_cyclic_basis`` gives the hyperbolic family its time-cyclic labels,
+``epoch_probe`` gives BW its definiteness check and halving retry, and
+``anchored_sweep`` gives two families an ``rcdlin`` epoch in one call when
+no step is recorded: the pivot-row sweep of Stiefel and Grassmann under
+cyclic selection, and the column-chain sweep of the factored SPSD family
+under every drawn rule.
 """
 
 from __future__ import annotations
@@ -227,8 +233,16 @@ class Manifold(ABC):
         """The labels a time-cyclic epoch sweeps."""
         raise ValueError("time-cyclic selection is only valid on the hyperbolic family")
 
-    def anchored_cyclic_sweep(self, labels: list, n_inner: int):
-        """``sweep(x, d, eta, trace, k)``: an anchored cyclic epoch in one call."""
+    def anchored_sweep(self, labels: list, n_inner: int, selection: str):
+        """``sweep(x, d, positions, eta, trace, k) -> (x, carrier upkeep
+        flops)``: an anchored epoch of ``n_inner`` steps in one call, bitwise
+        the steps ``coordinate_step`` takes, or None to step label by label.
+        ``positions`` is the epoch's lazy stream of label positions
+        (``optimize.epoch_positions``).  A sweep that consumes it draws the
+        whole epoch before the first step, so only a family without an
+        ``epoch_probe`` may return one for a drawn rule: there an abort ends
+        the run, while a probe's retry would resume the generator past draws
+        the step path never made."""
         return None
 
     # epoch_probe(x) False: the epoch is retried at half the stepsize

@@ -7,6 +7,16 @@ entry basis e_i e_j' is orthonormal.  The coordinate derivative is the
 (i, j) entry of the factored gradient (g + g') y; a coordinate step changes
 exactly one entry of Y.
 
+Under an anchored gradient a step at (i, j) reads r[i, j] of the carrier
+r = 2 sym(g) y and writes y[i, j] and column j of r, so the columns are
+independent chains, and of r an epoch only ever reads the entries r[i_f, j]
+of a column's later steps f.  ``column_chain_sweep`` keeps just those, as
+Python floats, and adds the earlier steps' fix-ups to them in step order:
+each is the correctly rounded product and sum that ``update_carrier``'s
+column update makes of that element, so the sweep is bitwise the
+label-by-label path while the rest of r, which nothing reads before the
+next re-anchor, is never updated.
+
 The BW family works on the SPD matrix itself.  The basis direction for the
 pair (i, j) is B = E_ij X + X E_ij (E_ij the symmetric unit pair, with
 E_ii = 2 e_i e_i'); the retraction along t B is the metric exponential
@@ -18,12 +28,15 @@ nonsingular.  The published descent update uses parameter -2 eta theta, so
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
+from ..flops import ZERO_DERIVATIVE_SKIP
 from ..indices import Entry, Pair
 from ..linalg import sym_eig
 from ..rng import SplitMix64
-from .base import Manifold
+from .base import Manifold, OptimizeAbort
 
 
 class FactoredSpsd(Manifold):
@@ -62,6 +75,10 @@ class FactoredSpsd(Manifold):
     def update_carrier(self, carrier, y, l, t):
         r, gs = carrier
         r[:, l.j] += (2.0 * t) * gs[:, l.i]
+        return self.carrier_update_flops()
+
+    def carrier_update_flops(self):
+        """Flops of one ``update_carrier`` column fix-up."""
         return 2 * self.n + 1
 
     def coordinate_derivative_from_carrier(self, y, d, l):
@@ -92,6 +109,62 @@ class FactoredSpsd(Manifold):
     def random_point(self, rng: SplitMix64):
         y = rng.gaussian(self.n, self.p)
         return y / np.linalg.norm(y)
+
+    def anchored_sweep(self, labels, n_inner, selection):
+        return column_chain_sweep(self, labels, n_inner)
+
+
+def column_chain_sweep(man: FactoredSpsd, labels: list, n_inner: int):
+    """One anchored epoch on the factored family, column chain by column
+    chain (see the module docstring): ``coordinate_step``'s arithmetic,
+    bitwise, without its per-step column fix-up.  ``rcdlin`` takes each epoch
+    so, under every drawn rule, unless the trace records every step.  It
+    draws the epoch's positions up front; the family has no epoch probe, so
+    an abort ends the run.  A step whose t underflows to zero writes nothing
+    to y (a -0.0 keeps its sign) but still feeds its chain, and a skipped
+    step touches nothing.  Only the sweep knows the step (k, s) of a
+    refusal, so it raises ``OptimizeAbort`` with ``coordinate_step``'s
+    reasons."""
+    rows = np.array([l.i for l in labels], dtype=np.intp)
+    cols = np.array([l.j for l in labels], dtype=np.intp)
+    dflops, uflops = man.flop_parts(labels[0])
+    upkeep = man.carrier_update_flops()
+    scale = man.step_scale
+    p = man.p
+
+    def sweep(y, d, positions, eta, trace, k):
+        r, gs = d
+        pos = np.fromiter(positions, np.intp, n_inner)
+        ii, jj = rows[pos], cols[pos]
+        gsl = gs.tolist()
+        chains = [[] for _ in range(p)]  # (2t, i) of each column's moving steps
+        t_per_theta = -scale * eta
+        moved, ts = [], []
+        for s, i, j, theta in zip(range(n_inner), ii.tolist(), jj.tolist(),
+                                  r[ii, jj].tolist()):
+            chain = chains[j]
+            if chain:
+                g = gsl[i]
+                for c, iu in chain:
+                    theta += c * g[iu]
+            if not math.isfinite(theta):
+                raise OptimizeAbort(k, s, "non-finite coordinate derivative")
+            if abs(theta) >= ZERO_DERIVATIVE_SKIP:
+                t = t_per_theta * theta
+                if not math.isfinite(t):
+                    raise OptimizeAbort(k, s, f"coordinate step overflow (|t|={abs(t):.3g})")
+                chain.append((2.0 * t, i))
+                if t != 0.0:
+                    moved.append(s)
+                    ts.append(t)
+        # np.add.at adds in index order, so a repeated entry sums as the steps did
+        np.add.at(y, (ii[moved], jj[moved]), ts)
+        moving = sum(map(len, chains))
+        trace.update_flops += n_inner * dflops + moving * uflops
+        # theta is the last step's, whose fix-up coordinate_step never makes
+        return y, (moving - (abs(theta) >= ZERO_DERIVATIVE_SKIP)) * upkeep
+
+    return sweep
 
 
 class SpdBuresWasserstein(Manifold):

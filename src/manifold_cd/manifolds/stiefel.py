@@ -83,8 +83,8 @@ class Stiefel(Manifold):
         q, _ = thin_qr(rng.gaussian(self.n, self.p))
         return q
 
-    def anchored_cyclic_sweep(self, labels, n_inner):
-        return pivot_row_sweep(self, labels, n_inner)
+    def anchored_sweep(self, labels, n_inner, selection):
+        return pivot_row_sweep(self, labels, n_inner) if selection == "cyclic" else None
 
 
 class Grassmann(Stiefel):
@@ -98,7 +98,7 @@ def pivot_row_runs(labels: list, n_inner: int):
     """The runs of a cyclic epoch, as a function that yields them lazily:
     (s0, i, j0, j1) for each maximal stretch of the stream that, from inner
     step s0, steps the labels (i, j0), (i, j0+1), ..., (i, j1-1).  The stream
-    repeats ``labels`` from its start every epoch (``epoch_labels``); the
+    repeats ``labels`` from its start every epoch (``epoch_positions``); the
     epoch's end and the sweep's wrap cut a run, so at n = 2, where the label
     (0, 1) repeats, every run is one step long."""
     cycle: list[list[int]] = []
@@ -134,12 +134,14 @@ def pivot_row_sweep(man: Manifold, labels: list, n_inner: int):
     same order, and ``np.vecdot`` of contiguous rows rounds as the per-row
     ``ndarray.dot`` does (``@`` does not).  Only the sweep knows the step (k, s)
     of a non-finite derivative or angle inside a run, so it raises
-    ``OptimizeAbort``."""
+    ``OptimizeAbort``.  A cyclic stream of positions makes no draws, so the
+    sweep steps its precomputed runs and leaves the stream unread; the
+    anchored carrier needs no upkeep."""
     runs = pivot_row_runs(labels, n_inner)
     dflops, uflops = man.flop_parts(labels[0]) if labels else (0, 0)
     scale = man.step_scale
 
-    def sweep(x, d, eta, trace, k):
+    def sweep(x, d, _positions, eta, trace, k):
         t_per_theta = -scale * eta
         for s0, i, j0, j1 in runs():
             partners = x[j0:j1]
@@ -170,7 +172,7 @@ def pivot_row_sweep(man: Manifold, labels: list, n_inner: int):
                 sn = np.array(ss)[:, None]
                 x[moved] = c * x[moved] - sn * np.array(pivots)
                 x[i] = xi
-        return x
+        return x, 0
 
     return sweep
 

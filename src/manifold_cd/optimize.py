@@ -20,17 +20,22 @@ the same algorithm, and for constant-gradient objectives they coincide for
 any S, bitwise.  Only ``run_tsd`` names a family; the loop meets the rest
 through the ``Manifold`` hooks.
 
-Selection rules, one lazy label stream per epoch (``epoch_labels``): cyclic
-(position s mod |I| in enumeration order), random (uniform, rejection-sampled),
-without-replacement (a fresh uniform permutation per |I| block), and
-time-cyclic (hyperbolic only: the pairs (0,1), (0,2), ..., (0,n-1)).  Draws
-happen as the loop reaches them, so a BW epoch that aborts and is retried
-leaves the generator just past the draws it used.  ``inner`` steps over an
-empty label set are a ValueError; without ``inner`` an epoch takes no step.
+Selection rules, one lazy stream of label positions per epoch
+(``epoch_positions``): cyclic (position s mod |I| in enumeration order), random
+(uniform, rejection-sampled), without-replacement (a fresh uniform
+permutation per |I| block), and time-cyclic (hyperbolic only: the pairs
+(0,1), (0,2), ..., (0,n-1)).  The step path indexes the labels with the
+positions as it reaches them, so a BW epoch that aborts and is retried
+leaves the generator just past the draws it used.  A family's sweep hook
+takes the same stream and may draw its whole epoch up front; only a family
+without an epoch probe has one that does, so there an abort ends the run and
+nothing reads the generator again.  ``inner`` steps over an empty label set
+are a ValueError; without ``inner`` an epoch takes no step.
 
 Accounting: the loop writes the ledger.  A step function adds to
 ``trace.update_flops``; ``coordinate_step`` also charges carrier upkeep to
-``trace.oracle_flops`` and counts ``trace.clamped_steps``.  Oracle flops are
+``trace.oracle_flops`` and counts ``trace.clamped_steps``, and a sweep returns
+its carrier upkeep for the loop to charge there.  Oracle flops are
 the objective's ``setup_flops``, charged once as the run starts (not a call,
 not re-charged by a BW retry), plus the gradient and, for rcd/rcdlin, the
 carrier per invocation.  Update flops follow the published per-coordinate
@@ -143,20 +148,20 @@ class Trace:
         return self.records[-1].f if self.records else self.unrecorded_f
 
 
-def epoch_labels(rule: str, labels: list, n_inner: int, rng: SplitMix64):
-    """One epoch's ``n_inner`` labels, drawn lazily: cyclic and time-cyclic
-    repeat ``labels``, random draws ``rng.below(|I|)`` per label, and
-    without-replacement a fresh ``rng.permutation(|I|)`` at positions 0, |I|,
-    2|I|, ...  Abandoned after k labels, it has made only those k labels' draws."""
+def epoch_positions(rule: str, m: int, n_inner: int, rng: SplitMix64):
+    """One epoch's ``n_inner`` positions into m labels, drawn lazily: cyclic
+    and time-cyclic repeat 0, ..., m-1, random draws ``rng.below(m)`` per
+    step, and without-replacement a fresh ``rng.permutation(m)`` at steps 0,
+    m, 2m, ...  Abandoned after k positions, it has made only those k
+    positions' draws."""
     if rule in ("cyclic", "time-cyclic"):
-        return itertools.islice(itertools.cycle(labels), n_inner)
-    m = len(labels)
+        return itertools.islice(itertools.cycle(range(m)), n_inner)
     if rule == "random":
-        return (labels[rng.below(m)] for _ in range(n_inner))
+        return map(rng.below, itertools.repeat(m, n_inner))
     # each block's permutation is drawn as the block starts, not up front;
     # max(m, 1): an empty basis with n_inner = 0 has no block
-    return (labels[p] for start in range(0, n_inner, max(m, 1))
-            for p in rng.permutation(m)[:n_inner - start].tolist())
+    return itertools.chain.from_iterable(
+        rng.permutation(m)[:n_inner - start].tolist() for start in range(0, n_inner, max(m, 1)))
 
 
 def _check_finite(v: float, k: int, s: int, what: str) -> float:
@@ -219,9 +224,7 @@ def run_rcdlin(man: Manifold, obj: Objective, x0: np.ndarray, cfg: OptimizerConf
     labels = coordinate_basis(man, cfg.selection)
     n_inner = _inner_steps(cfg, labels)
     step = coordinate_step(man, anchored_steps=n_inner)
-    sweep = None
-    if cfg.selection == "cyclic" and cfg.trace != "step":
-        sweep = man.anchored_cyclic_sweep(labels, n_inner)
+    sweep = None if cfg.trace == "step" else man.anchored_sweep(labels, n_inner, cfg.selection)
     return run_epochs(man, obj, x0, cfg, labels, step, fresh_oracle=False, carrier=True,
                       sweep=sweep)
 
@@ -272,8 +275,9 @@ def run_epochs(man: Manifold, obj: Objective, x0: np.ndarray, cfg: OptimizerConf
     new point; ``d`` is the oracle's output, the derivative carrier with
     ``carrier`` set and the Euclidean gradient otherwise.  The oracle runs
     before every step when ``fresh_oracle`` is set, else once per epoch.
-    ``sweep(x, d, eta, trace, k)``, given only with the oracle once per epoch
-    and no per-step records, takes all of an epoch's steps in one call.
+    ``sweep(x, d, positions, eta, trace, k)``, given only with the oracle
+    once per epoch and no per-step records, takes all of an epoch's steps in
+    one call and returns the new point and the carrier upkeep flops.
 
     Every record's objective is checked to be finite; a run that keeps no
     record (``trace="none"``) checks it once, at the last step, (K-1, S-1).
@@ -328,13 +332,15 @@ def run_epochs(man: Manifold, obj: Objective, x0: np.ndarray, cfg: OptimizerConf
                         trace.instrumentation_flops += obj.grad_flops
                     if cfg.feas_log_every and k % cfg.feas_log_every == 0:
                         epoch_feas = man.feasibility_residual(x)
+                    positions = epoch_positions(cfg.selection, len(labels), n_inner, rng)
                     if sweep is not None:
                         if n_inner:
-                            x = sweep(x, oracle(x), eta_k, trace, k)
+                            x, upkeep = sweep(x, oracle(x), positions, eta_k, trace, k)
+                            trace.oracle_flops += upkeep
                             if cfg.trace == "epoch":
                                 record(x, n_inner - 1)
                     else:
-                        for s, l in enumerate(epoch_labels(cfg.selection, labels, n_inner, rng)):
+                        for s, l in enumerate(map(labels.__getitem__, positions)):
                             if fresh_oracle or s == 0:
                                 d = oracle(x)
                             x = step(x, d, l, eta_k, trace, s)

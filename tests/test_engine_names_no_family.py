@@ -1,5 +1,5 @@
 """The engine names no family: a family reaches ``optimize.py`` only through
-the ``Manifold`` hooks (``time_cyclic_basis``, ``anchored_cyclic_sweep``,
+the ``Manifold`` hooks (``time_cyclic_basis``, ``anchored_sweep``,
 ``epoch_probe``).
 
 Read from the syntax tree of ``optimize.py``: outside ``run_tsd``, whose

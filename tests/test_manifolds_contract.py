@@ -51,10 +51,19 @@ def test_basis_size(family_case):
     assert man.index_count() == EXPECTED_BASIS_SIZE[man.family](*dims)
 
 
+DRAWN = ("random", "without-replacement")
+SWEEPS = {  # the selections under which a family's anchored sweep exists
+    "stiefel": ("cyclic",),
+    "grassmann": ("cyclic",),
+    "spsd_factored": ("cyclic", *DRAWN),
+}
+
+
 def test_engine_hooks_belong_to_their_family(family_case):
-    """Time-cyclic labels are hyperbolic, the anchored cyclic sweep is the
-    Stiefel family's and the epoch probe is BW's; every other family keeps
-    the base default, which the engine reads as "no such hook"."""
+    """Time-cyclic labels are hyperbolic, the anchored sweep is the Stiefel
+    family's under cyclic selection and the factored family's under every
+    rule, and the epoch probe is BW's; every other family keeps the base
+    default, which the engine reads as "no such hook"."""
     man, x = family_case
     if man.family == "hyperbolic":
         n = man.ambient_shape[0]
@@ -63,10 +72,21 @@ def test_engine_hooks_belong_to_their_family(family_case):
         with pytest.raises(ValueError, match="only valid on the hyperbolic family"):
             man.time_cyclic_basis()
     labels = man.enumerate_basis()
-    sweep = man.anchored_cyclic_sweep(labels, len(labels))
-    assert (sweep is None) == (man.family not in ("stiefel", "grassmann"))
+    for selection in ("cyclic", *DRAWN):
+        sweep = man.anchored_sweep(labels, len(labels), selection)
+        assert (sweep is None) == (selection not in SWEEPS.get(man.family, ()))
     assert (man.epoch_probe is None) == (man.family != "spd_bures_wasserstein")
     assert man.epoch_probe is None or man.epoch_probe(x) is True
+
+
+def test_a_sweep_over_drawn_labels_has_no_probe(family_case):
+    """A sweep under a drawn rule draws its whole epoch up front, which only
+    a family whose aborts end the run may do: a probe's retry would resume
+    the generator past draws the step path never made."""
+    man, _ = family_case
+    labels = man.enumerate_basis()
+    if any(man.anchored_sweep(labels, len(labels), rule) is not None for rule in DRAWN):
+        assert man.epoch_probe is None
 
 
 def test_random_point_feasible(family_case):

@@ -15,7 +15,7 @@ from manifold_cd.optimize import (
     OptimizeAbort,
     OptimizerConfig,
     coordinate_basis,
-    epoch_labels,
+    epoch_positions,
     flop_audit,
     run_rcd,
     run_rcdlin,
@@ -40,22 +40,27 @@ def _pca_setup(n=12, p=3, seed=5):
     return man, obj, initial_point(spec), ref
 
 
+def epoch_labels(rule, basis, n_inner, rng):
+    """The labels an epoch steps, as the step path indexes them."""
+    return [basis[p] for p in epoch_positions(rule, len(basis), n_inner, rng)]
+
+
 class TestSelection:
     def test_cyclic_positions(self):
         basis = [Pair(0, 1), Pair(0, 2), Pair(1, 2)]
-        assert list(epoch_labels("cyclic", basis, 6, SplitMix64(1))) == basis + basis
+        assert epoch_labels("cyclic", basis, 6, SplitMix64(1)) == basis + basis
 
     def test_random_is_deterministic(self):
         basis = [Pair(i, j) for i in range(6) for j in range(i + 1, 6)]
         a = epoch_labels("random", basis, 40, SplitMix64(7))
         b = epoch_labels("random", basis, 40, SplitMix64(7))
-        assert list(a) == list(b)
+        assert a == b
 
     def test_without_replacement_is_permutation_per_epoch(self):
         basis = [Pair(i, j) for i in range(5) for j in range(i + 1, 5)]
         rng = SplitMix64(9)
         for _ in range(100):
-            picks = list(epoch_labels("without-replacement", basis, len(basis), rng))
+            picks = epoch_labels("without-replacement", basis, len(basis), rng)
             assert sorted(picks) == sorted(basis)
 
     def test_time_cyclic_pairs(self):
@@ -63,14 +68,14 @@ class TestSelection:
         basis = coordinate_basis(man, "time-cyclic")
         assert basis == [Pair(0, 1), Pair(0, 2), Pair(0, 3), Pair(0, 4)]
         assert coordinate_basis(man, "cyclic") == man.enumerate_basis()
-        picks = list(epoch_labels("time-cyclic", basis, 8, SplitMix64(1)))
+        picks = epoch_labels("time-cyclic", basis, 8, SplitMix64(1))
         assert picks == basis + basis
 
     def test_randomized_draws_are_lazy(self):
         basis = [Pair(i, j) for i in range(4) for j in range(i + 1, 4)]
         m = len(basis)
         # n_inner = 2.5 |I|: two full permutation blocks, then half a fresh one
-        picks = list(epoch_labels("without-replacement", basis, 5 * m // 2, SplitMix64(3)))
+        picks = epoch_labels("without-replacement", basis, 5 * m // 2, SplitMix64(3))
         ref = SplitMix64(3)
         blocks = [ref.permutation(m).tolist() for _ in range(3)]
         assert picks == [basis[p] for p in blocks[0] + blocks[1] + blocks[2][:m // 2]]
@@ -79,9 +84,9 @@ class TestSelection:
                            ("without-replacement", lambda r: r.permutation(m))):
             for k in (0, 1, m - 1, m, m + 1):
                 rng, ref = SplitMix64(5), SplitMix64(5)
-                labels = epoch_labels(rule, basis, 3 * m, rng)
+                positions = epoch_positions(rule, m, 3 * m, rng)
                 for _ in range(k):
-                    next(labels)
+                    next(positions)
                 draws = k if rule == "random" else -(-k // m)
                 for _ in range(draws):
                     draw(ref)

@@ -22,7 +22,7 @@ from manifold_cd.optimize import (
     Objective,
     OptimizeAbort,
     OptimizerConfig,
-    epoch_labels,
+    epoch_positions,
     optimize as run,
 )
 from manifold_cd.problems import initial_point, make_pca
@@ -94,7 +94,8 @@ class TestRuns:
         for n_inner in (0, 1, 5, 21, 22, 50):
             stream = [Pair(i, j) for _, i, j0, j1 in pivot_row_runs(labels, n_inner)()
                       for j in range(j0, j1)]
-            assert stream == list(epoch_labels("cyclic", labels, n_inner, None))
+            assert stream == [labels[p] for p in
+                              epoch_positions("cyclic", len(labels), n_inner, None)]
 
 
 class TestParity:

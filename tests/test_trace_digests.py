@@ -53,6 +53,15 @@ RUNS = [
      "3bb1ebb756f42db36627d32bb4368f2975c00f1c6673861440ece629ab20a341"),
     ("--problem pca --n 2 --p 1 --algo rcdlin --trace epoch --inner 3 --epochs 5",
      "7b1bf5f123d864aca67ddf1fd2277444bd564542c4e205560839fbcec22f8704"),
+    # rcdlin on the factored SPSD family at trace=epoch: the column-chain
+    # sweep under each drawn rule, with an inner count short of |I|
+    ("weighted-ls-desk-dense --epochs 3 --trace epoch",
+     "043386449cd916318e7e9c8ff27aa687f7dbbd1ba0f87375f123ce6605abe415"),
+    ("weighted-ls-desk-sparse --epochs 5 --trace epoch --select random",
+     "f5934a3f36368a03b2b13537213c1dd9240000b2bd7bfec7306c827db312af2d"),
+    ("--problem weighted-ls --n 12 --p 3 --algo rcdlin --select cyclic --trace epoch "
+     "--inner 7 --eta 0.2 --epochs 30 --seed 7",
+     "623e852f5ae8fe9bd72c5f6990f6aaf2bc64d7329cb3b3d6def3d7bb8f16a7c7"),
     ("lorentz-desk --trace step", "1b6c49299ab6a15c903d2859bcc6568ac83898df671099fbad7a0f622e2b4b51"),
     ("lorentz-desk --select cyclic",
      "d7b81ac67e417bbd73e82725a919bff827f35b8272cce34edb3d2b111763c924"),
