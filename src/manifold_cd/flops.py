@@ -33,6 +33,14 @@ from __future__ import annotations
 # Steps with |theta| below this are skipped: the retraction returns the input
 # bitwise and only the derivative flops are charged.
 ZERO_DERIVATIVE_SKIP = 1e-300
+# Why a coordinate step is refused, the same text on every path that steps.
+NONFINITE_DERIVATIVE = "non-finite coordinate derivative"
+
+
+def step_overflow(t: float) -> str:
+    return f"coordinate step overflow (|t|={abs(t):.3g})"
+
+
 # An exp, cosh or sinh step with |t| above this is refused (overflow is near 710).
 MAX_EXP_STEP = 500.0
 

@@ -43,7 +43,7 @@ family needs of it, and their defaults keep every other family out.
 ``anchored_sweep`` gives two families an ``rcdlin`` epoch in one call when
 no step is recorded: the pivot-row sweep of Stiefel and Grassmann under
 cyclic selection, and the column-chain sweep of the factored SPSD family
-under every drawn rule.
+under every drawn rule, for epochs whose column chains are short.
 """
 
 from __future__ import annotations
@@ -236,7 +236,9 @@ class Manifold(ABC):
     def anchored_sweep(self, labels: list, n_inner: int, selection: str):
         """``sweep(x, d, positions, eta, trace, k) -> (x, carrier upkeep
         flops)``: an anchored epoch of ``n_inner`` steps in one call, bitwise
-        the steps ``coordinate_step`` takes, or None to step label by label.
+        the steps ``coordinate_step`` takes, or None to step label by label
+        (also where a sweep would be the slower, which the family decides
+        from ``n_inner`` and its dimensions).
         ``positions`` is the epoch's lazy stream of label positions
         (``optimize.epoch_positions``).  A sweep that consumes it draws the
         whole epoch before the first step, so only a family without an

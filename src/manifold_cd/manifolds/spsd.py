@@ -15,7 +15,18 @@ Python floats, and adds the earlier steps' fix-ups to them in step order:
 each is the correctly rounded product and sum that ``update_carrier``'s
 column update makes of that element, so the sweep is bitwise the
 label-by-label path while the rest of r, which nothing reads before the
-next re-anchor, is never updated.
+next re-anchor, is never updated.  Of sym(g) the sweep converts only the
+entries gs[i_f, i_u] that pair a step f with an earlier step u of its
+column, so its work per step follows the column's chain, not n.
+
+The sweep costs a fixed set-up per epoch plus, per step, an interpreted
+multiply-add for each earlier moving step of its column: an epoch of S steps
+over p columns does about S^2 / (2p) of them, against S n-element column
+updates on the label path.  So the family offers it only for epochs of at
+least ``SWEEP_MIN_STEPS`` steps whose mean column chain S / p is at most
+``SWEEP_MAX_CHAIN`` steps, bounds set from the crossovers measured against
+the label path (``BENCH_23.json``, ``crossover``); past them the label path
+is the faster.
 
 The BW family works on the SPD matrix itself.  The basis direction for the
 pair (i, j) is B = E_ij X + X E_ij (E_ij the symmetric unit pair, with
@@ -32,11 +43,15 @@ import math
 
 import numpy as np
 
-from ..flops import ZERO_DERIVATIVE_SKIP
+from ..flops import NONFINITE_DERIVATIVE, ZERO_DERIVATIVE_SKIP, step_overflow
 from ..indices import Entry, Pair
 from ..linalg import sym_eig
 from ..rng import SplitMix64
 from .base import Manifold, OptimizeAbort
+
+# When the column-chain sweep beats the label-by-label path (module docstring)
+SWEEP_MIN_STEPS = 32
+SWEEP_MAX_CHAIN = 32
 
 
 class FactoredSpsd(Manifold):
@@ -111,6 +126,8 @@ class FactoredSpsd(Manifold):
         return y / np.linalg.norm(y)
 
     def anchored_sweep(self, labels, n_inner, selection):
+        if not SWEEP_MIN_STEPS <= n_inner <= SWEEP_MAX_CHAIN * self.p:
+            return None
         return column_chain_sweep(self, labels, n_inner)
 
 
@@ -118,13 +135,13 @@ def column_chain_sweep(man: FactoredSpsd, labels: list, n_inner: int):
     """One anchored epoch on the factored family, column chain by column
     chain (see the module docstring): ``coordinate_step``'s arithmetic,
     bitwise, without its per-step column fix-up.  ``rcdlin`` takes each epoch
-    so, under every drawn rule, unless the trace records every step.  It
-    draws the epoch's positions up front; the family has no epoch probe, so
-    an abort ends the run.  A step whose t underflows to zero writes nothing
-    to y (a -0.0 keeps its sign) but still feeds its chain, and a skipped
-    step touches nothing.  Only the sweep knows the step (k, s) of a
-    refusal, so it raises ``OptimizeAbort`` with ``coordinate_step``'s
-    reasons."""
+    so, under every drawn rule, unless the trace records every step or the
+    epoch is outside the sweep's crossovers.  It draws the epoch's positions
+    up front; the family has no epoch probe, so an abort ends the run.  A
+    step whose t underflows to zero writes nothing to y (a -0.0 keeps its
+    sign) but still feeds its chain, and a skipped step touches nothing.
+    Only the sweep knows the step (k, s) of a refusal, so it raises
+    ``OptimizeAbort`` with ``coordinate_step``'s reasons."""
     rows = np.array([l.i for l in labels], dtype=np.intp)
     cols = np.array([l.j for l in labels], dtype=np.intp)
     dflops, uflops = man.flop_parts(labels[0])
@@ -136,24 +153,32 @@ def column_chain_sweep(man: FactoredSpsd, labels: list, n_inner: int):
         r, gs = d
         pos = np.fromiter(positions, np.intp, n_inner)
         ii, jj = rows[pos], cols[pos]
-        gsl = gs.tolist()
-        chains = [[] for _ in range(p)]  # (2t, i) of each column's moving steps
+        # slot[s]: how many of the epoch's earlier steps share step s's column
+        order = np.argsort(jj, kind="stable")
+        count = np.bincount(jj, minlength=p)
+        start = np.cumsum(count) - count
+        slot = np.empty(n_inner, np.intp)
+        slot[order] = np.arange(n_inner) - start[jj[order]]
+        # near[head[s] + q] = gs[i_s, i_u], u the q-th earlier step of s's column
+        head = np.cumsum(slot) - slot
+        rank = np.arange(head[-1] + slot[-1]) - np.repeat(head, slot)
+        earlier = order[np.repeat(start[jj], slot) + rank]
+        near = gs[np.repeat(ii, slot), ii[earlier]].tolist()
+        chains = [[] for _ in range(p)]  # (2t, slot) of each column's moving steps
         t_per_theta = -scale * eta
         moved, ts = [], []
-        for s, i, j, theta in zip(range(n_inner), ii.tolist(), jj.tolist(),
-                                  r[ii, jj].tolist()):
+        for s, j, q, h, theta in zip(range(n_inner), jj.tolist(), slot.tolist(),
+                                     head.tolist(), r[ii, jj].tolist()):
             chain = chains[j]
-            if chain:
-                g = gsl[i]
-                for c, iu in chain:
-                    theta += c * g[iu]
+            for c, qu in chain:
+                theta += c * near[h + qu]
             if not math.isfinite(theta):
-                raise OptimizeAbort(k, s, "non-finite coordinate derivative")
+                raise OptimizeAbort(k, s, NONFINITE_DERIVATIVE)
             if abs(theta) >= ZERO_DERIVATIVE_SKIP:
                 t = t_per_theta * theta
                 if not math.isfinite(t):
-                    raise OptimizeAbort(k, s, f"coordinate step overflow (|t|={abs(t):.3g})")
-                chain.append((2.0 * t, i))
+                    raise OptimizeAbort(k, s, step_overflow(t))
+                chain.append((2.0 * t, q))
                 if t != 0.0:
                     moved.append(s)
                     ts.append(t)

@@ -21,7 +21,7 @@ import math
 
 import numpy as np
 
-from ..flops import ZERO_DERIVATIVE_SKIP
+from ..flops import NONFINITE_DERIVATIVE, ZERO_DERIVATIVE_SKIP, step_overflow
 from ..indices import Column, CoordinateIndex, Pair
 from ..linalg import apply_rotation, thin_qr
 from ..rng import SplitMix64
@@ -153,12 +153,12 @@ def pivot_row_sweep(man: Manifold, labels: list, n_inner: int):
                                         d[j0:j1], partners):
                 theta = aj - float(dj.dot(xi))
                 if not math.isfinite(theta):
-                    raise OptimizeAbort(k, s, "non-finite coordinate derivative")
+                    raise OptimizeAbort(k, s, NONFINITE_DERIVATIVE)
                 if abs(theta) >= ZERO_DERIVATIVE_SKIP:
                     moving += 1
                     t = t_per_theta * theta
                     if not math.isfinite(t):
-                        raise OptimizeAbort(k, s, f"coordinate step overflow (|t|={abs(t):.3g})")
+                        raise OptimizeAbort(k, s, step_overflow(t))
                     if t != 0.0:
                         c, sn = math.cos(t), math.sin(t)
                         moved.append(j)

@@ -56,7 +56,7 @@ from typing import Callable
 
 import numpy as np
 
-from .flops import ZERO_DERIVATIVE_SKIP
+from .flops import NONFINITE_DERIVATIVE, ZERO_DERIVATIVE_SKIP, step_overflow
 from .indices import Pair
 from .manifolds import Manifold
 from .manifolds.base import OptimizeAbort
@@ -195,13 +195,13 @@ def coordinate_step(man: Manifold, anchored_steps: int = 0):
     def step(x, d, l, eta, trace, s):
         theta = man.coordinate_derivative_from_carrier(x, d, l)
         if not math.isfinite(theta):
-            raise FloatingPointError("non-finite coordinate derivative")
+            raise FloatingPointError(NONFINITE_DERIVATIVE)
         dflops, uflops = man.flop_parts(l)
         trace.update_flops += dflops
         if abs(theta) >= ZERO_DERIVATIVE_SKIP:
             t = -scale * eta * theta
             if not math.isfinite(t):
-                raise OverflowError(f"coordinate step overflow (|t|={abs(t):.3g})")
+                raise OverflowError(step_overflow(t))
             x, clamped = man.coordinate_retract(x, l, t, inplace=True)
             trace.update_flops += uflops
             if clamped:

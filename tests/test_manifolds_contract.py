@@ -72,8 +72,9 @@ def test_engine_hooks_belong_to_their_family(family_case):
         with pytest.raises(ValueError, match="only valid on the hyperbolic family"):
             man.time_cyclic_basis()
     labels = man.enumerate_basis()
+    n_inner = 2 * len(labels)  # inside the factored sweep's crossovers at (7, 3)
     for selection in ("cyclic", *DRAWN):
-        sweep = man.anchored_sweep(labels, len(labels), selection)
+        sweep = man.anchored_sweep(labels, n_inner, selection)
         assert (sweep is None) == (selection not in SWEEPS.get(man.family, ()))
     assert (man.epoch_probe is None) == (man.family != "spd_bures_wasserstein")
     assert man.epoch_probe is None or man.epoch_probe(x) is True
@@ -85,7 +86,7 @@ def test_a_sweep_over_drawn_labels_has_no_probe(family_case):
     the generator past draws the step path never made."""
     man, _ = family_case
     labels = man.enumerate_basis()
-    if any(man.anchored_sweep(labels, len(labels), rule) is not None for rule in DRAWN):
+    if any(man.anchored_sweep(labels, 2 * len(labels), rule) is not None for rule in DRAWN):
         assert man.epoch_probe is None
 
 

@@ -7,6 +7,8 @@ it records every step.  The same run with the hook switched off steps label
 by label; the two must agree bitwise: the point, every record, the three flop
 totals, the oracle calls, the clamped steps, and an abort's (k, s, reason).
 Both the plain family and the masked one of the structured runner are run.
+The family offers the sweep only inside its measured crossovers; the sweep
+must still be bitwise at every epoch size, so these runs open the bounds.
 """
 
 import importlib
@@ -61,6 +63,8 @@ def both_paths(monkeypatch, runner, cfg):
 
     with monkeypatch.context() as m:
         m.setattr(chains, "column_chain_sweep", spy)
+        m.setattr(chains, "SWEEP_MIN_STEPS", 1)
+        m.setattr(chains, "SWEEP_MAX_CHAIN", N * P)
         fast = outcome(runner, cfg)
     with monkeypatch.context() as m:
         m.setattr(FactoredSpsd, "anchored_sweep", lambda self, *a: None)
@@ -109,6 +113,18 @@ def test_aborts_are_covered(monkeypatch, eta, where):
     assert fast == ("abort", *where)
 
 
+@pytest.mark.parametrize("n_inner, offered", [(31, False), (32, True), (96, True),
+                                               (97, False)])
+def test_sweep_only_inside_its_crossovers(n_inner, offered):
+    """The family offers the sweep only where it beat the label path: at
+    least SWEEP_MIN_STEPS steps an epoch, and a mean column chain n_inner / p
+    of at most SWEEP_MAX_CHAIN steps (32 and 32 here, p = 3)."""
+    man = FactoredSpsd(ManifoldDescriptor("spsd_factored", (N, P)))
+    labels = man.enumerate_basis()
+    for selection in ("cyclic", "random", "without-replacement"):
+        assert (man.anchored_sweep(labels, n_inner, selection) is not None) == offered
+
+
 def test_an_underflowing_step_writes_nothing(monkeypatch):
     """At eta 1e-320 a small derivative's t underflows to 0: the step writes
     nothing to y, so a -0.0 entry keeps its sign, as ``coordinate_retract``
@@ -121,6 +137,7 @@ def test_an_underflowing_step_writes_nothing(monkeypatch):
     obj = Objective(value=lambda y: float(np.sum(g * (y @ y.T))), euclid_grad=lambda y: g)
     cfg = OptimizerConfig(algorithm="rcdlin", epochs=2, eta=1e-320, selection="random",
                           trace="epoch")
+    monkeypatch.setattr(chains, "SWEEP_MIN_STEPS", 1)
     runs = []
     for hook in (FactoredSpsd.anchored_sweep, lambda self, *a: None):
         monkeypatch.setattr(FactoredSpsd, "anchored_sweep", hook)
