@@ -43,7 +43,9 @@ family needs of it, and their defaults keep every other family out.
 ``anchored_sweep`` gives two families an ``rcdlin`` epoch in one call when
 no step is recorded: the pivot-row sweep of Stiefel and Grassmann under
 cyclic selection, and the column-chain sweep of the factored SPSD family
-under every drawn rule, for epochs whose column chains are short.
+under every drawn rule, for epochs whose column chains are short.  A sweep
+is an epoch kernel: it takes the positions the loop drew and returns the
+point and its flops, which the loop charges.
 """
 
 from __future__ import annotations
@@ -234,17 +236,20 @@ class Manifold(ABC):
         raise ValueError("time-cyclic selection is only valid on the hyperbolic family")
 
     def anchored_sweep(self, labels: list, n_inner: int, selection: str):
-        """``sweep(x, d, positions, eta, trace, k) -> (x, carrier upkeep
+        """``sweep(x, d, pos, eta, k) -> (x, update flops, carrier upkeep
         flops)``: an anchored epoch of ``n_inner`` steps in one call, bitwise
         the steps ``coordinate_step`` takes, or None to step label by label
         (also where a sweep would be the slower, which the family decides
-        from ``n_inner`` and its dimensions).
-        ``positions`` is the epoch's lazy stream of label positions
-        (``optimize.epoch_positions``).  A sweep that consumes it draws the
-        whole epoch before the first step, so only a family without an
+        from ``n_inner`` and its dimensions).  The engine asks only for
+        epochs that take a step.
+        ``pos`` is the epoch's array of ``n_inner`` label positions, which
+        the epoch loop draws from ``optimize.epoch_positions`` before the
+        first step; the loop charges the flops the sweep returns, so a sweep
+        never sees the trace or the stream.  Only a family without an
         ``epoch_probe`` may return one for a drawn rule: there an abort ends
         the run, while a probe's retry would resume the generator past draws
-        the step path never made."""
+        the step path never made.  A refused step raises ``OptimizeAbort``
+        at its own (k, s)."""
         return None
 
     # epoch_probe(x) False: the epoch is retried at half the stepsize

@@ -128,18 +128,19 @@ class FactoredSpsd(Manifold):
     def anchored_sweep(self, labels, n_inner, selection):
         if not SWEEP_MIN_STEPS <= n_inner <= SWEEP_MAX_CHAIN * self.p:
             return None
-        return column_chain_sweep(self, labels, n_inner)
+        return column_chain_sweep(self, labels)
 
 
-def column_chain_sweep(man: FactoredSpsd, labels: list, n_inner: int):
+def column_chain_sweep(man: FactoredSpsd, labels: list):
     """One anchored epoch on the factored family, column chain by column
     chain (see the module docstring): ``coordinate_step``'s arithmetic,
     bitwise, without its per-step column fix-up.  ``rcdlin`` takes each epoch
     so, under every drawn rule, unless the trace records every step or the
-    epoch is outside the sweep's crossovers.  It draws the epoch's positions
-    up front; the family has no epoch probe, so an abort ends the run.  A
-    step whose t underflows to zero writes nothing to y (a -0.0 keeps its
-    sign) but still feeds its chain, and a skipped step touches nothing.
+    epoch is outside the sweep's crossovers.  The epoch loop draws the
+    positions ``pos`` before the first step, which the family allows: it has
+    no epoch probe, so an abort ends the run.  A step whose t underflows to
+    zero writes nothing to y (a -0.0 keeps its sign) but still feeds its
+    chain, and a skipped step touches nothing.
     Only the sweep knows the step (k, s) of a refusal, so it raises
     ``OptimizeAbort`` with ``coordinate_step``'s reasons."""
     rows = np.array([l.i for l in labels], dtype=np.intp)
@@ -149,9 +150,9 @@ def column_chain_sweep(man: FactoredSpsd, labels: list, n_inner: int):
     scale = man.step_scale
     p = man.p
 
-    def sweep(y, d, positions, eta, trace, k):
+    def sweep(y, d, pos, eta, k):
         r, gs = d
-        pos = np.fromiter(positions, np.intp, n_inner)
+        n_inner = len(pos)
         ii, jj = rows[pos], cols[pos]
         # slot[s]: how many of the epoch's earlier steps share step s's column
         order = np.argsort(jj, kind="stable")
@@ -185,9 +186,9 @@ def column_chain_sweep(man: FactoredSpsd, labels: list, n_inner: int):
         # np.add.at adds in index order, so a repeated entry sums as the steps did
         np.add.at(y, (ii[moved], jj[moved]), ts)
         moving = sum(map(len, chains))
-        trace.update_flops += n_inner * dflops + moving * uflops
         # theta is the last step's, whose fix-up coordinate_step never makes
-        return y, (moving - (abs(theta) >= ZERO_DERIVATIVE_SKIP)) * upkeep
+        return (y, n_inner * dflops + moving * uflops,
+                (moving - (abs(theta) >= ZERO_DERIVATIVE_SKIP)) * upkeep)
 
     return sweep
 

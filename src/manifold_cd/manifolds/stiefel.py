@@ -84,7 +84,7 @@ class Stiefel(Manifold):
         return q
 
     def anchored_sweep(self, labels, n_inner, selection):
-        return pivot_row_sweep(self, labels, n_inner) if selection == "cyclic" else None
+        return pivot_row_sweep(self, labels) if selection == "cyclic" else None
 
 
 class Grassmann(Stiefel):
@@ -94,62 +94,48 @@ class Grassmann(Stiefel):
         return g - x @ (x.T @ g)
 
 
-def pivot_row_runs(labels: list, n_inner: int):
-    """The runs of a cyclic epoch, as a function that yields them lazily:
-    (s0, i, j0, j1) for each maximal stretch of the stream that, from inner
-    step s0, steps the labels (i, j0), (i, j0+1), ..., (i, j1-1).  The stream
-    repeats ``labels`` from its start every epoch (``epoch_positions``); the
-    epoch's end and the sweep's wrap cut a run, so at n = 2, where the label
-    (0, 1) repeats, every run is one step long."""
-    cycle: list[list[int]] = []
-    for s, (i, j) in enumerate(labels):
-        if cycle and cycle[-1][1] == i and cycle[-1][3] == j:
-            cycle[-1][3] = j + 1
-        else:
-            cycle.append([s, i, j, j + 1])
-
-    def epoch():
-        for start in range(0, n_inner, max(len(labels), 1)):
-            for s0, i, j0, j1 in cycle:
-                s0 += start
-                if s0 >= n_inner:
-                    return
-                yield s0, i, j0, min(j1, j0 + n_inner - s0)
-
-    return epoch
-
-
-def pivot_row_sweep(man: Manifold, labels: list, n_inner: int):
+def pivot_row_sweep(man: Manifold, labels: list):
     """One anchored cyclic epoch on the Stiefel or Grassmann family, run by
     run: ``coordinate_step``'s arithmetic, bitwise, in fewer numpy calls.
     ``rcdlin`` with cyclic selection takes each epoch so unless the trace
     records every step; every other config steps label by label through
     ``coordinate_step``, the reference this path is tested against.
 
-    Within a run (i, j0..j1-1) every partner row is read before it moves and
-    moves once, and the anchored carrier d does not move.  So d[i].x[j] is one
+    A run is a maximal stretch of the epoch's positions that steps the labels
+    (i, j0), (i, j0+1), ..., (i, j1-1): it breaks where a position does not
+    follow the one before it (the cyclic order's wrap, or a repeated label at
+    n = 2) and where a label opens a new pivot row or skips a partner.
+    Within a run every partner row is read before it moves and moves once,
+    and the anchored carrier d does not move.  So d[i].x[j] is one
     ``np.vecdot`` for the run, a step updates only the pivot row, and the
     partners' halves c*x[j] - s*x[i] (x[i] as it was before that step) are
     written as one batch when the run ends: the same products and sums in the
     same order, and ``np.vecdot`` of contiguous rows rounds as the per-row
     ``ndarray.dot`` does (``@`` does not).  Only the sweep knows the step (k, s)
     of a non-finite derivative or angle inside a run, so it raises
-    ``OptimizeAbort``.  A cyclic stream of positions makes no draws, so the
-    sweep steps its precomputed runs and leaves the stream unread; the
-    anchored carrier needs no upkeep."""
-    runs = pivot_row_runs(labels, n_inner)
-    dflops, uflops = man.flop_parts(labels[0]) if labels else (0, 0)
+    ``OptimizeAbort``.  The anchored carrier needs no upkeep."""
+    # opens[m]: label m does not continue label m-1's pivot row
+    opens = np.array([True] + [l.i != prev.i or l.j != prev.j + 1
+                               for prev, l in zip(labels, labels[1:])])
+    dflops, uflops = man.flop_parts(labels[0])
     scale = man.step_scale
 
-    def sweep(x, d, _positions, eta, trace, k):
+    def sweep(x, d, pos, eta, k):
+        breaks = opens[pos]
+        breaks[1:] |= pos[1:] != pos[:-1] + 1
+        breaks[0] = True
+        firsts = breaks.nonzero()[0]
+        starts = firsts.tolist()
         t_per_theta = -scale * eta
-        for s0, i, j0, j1 in runs():
+        moving = 0
+        for s0, s1, m in zip(starts, starts[1:] + [len(pos)], pos[firsts].tolist()):
+            i, j0 = labels[m]
+            j1 = j0 + s1 - s0
             partners = x[j0:j1]
             a = np.vecdot(d[i], partners).tolist()
             xi = x[i]
-            moving = 0
             moved, cs, ss, pivots = [], [], [], []
-            for s, j, aj, dj, xj in zip(range(s0, s0 + j1 - j0), range(j0, j1), a,
+            for s, j, aj, dj, xj in zip(range(s0, s1), range(j0, j1), a,
                                         d[j0:j1], partners):
                 theta = aj - float(dj.dot(xi))
                 if not math.isfinite(theta):
@@ -166,13 +152,12 @@ def pivot_row_sweep(man: Manifold, labels: list, n_inner: int):
                         ss.append(sn)
                         pivots.append(xi)
                         xi = c * xi + sn * xj
-            trace.update_flops += (j1 - j0) * dflops + moving * uflops
             if moved:
                 c = np.array(cs)[:, None]
                 sn = np.array(ss)[:, None]
                 x[moved] = c * x[moved] - sn * np.array(pivots)
                 x[i] = xi
-        return x, 0
+        return x, len(pos) * dflops + moving * uflops, 0
 
     return sweep
 

@@ -26,16 +26,17 @@ Selection rules, one lazy stream of label positions per epoch
 permutation per |I| block), and time-cyclic (hyperbolic only: the pairs
 (0,1), (0,2), ..., (0,n-1)).  The step path indexes the labels with the
 positions as it reaches them, so a BW epoch that aborts and is retried
-leaves the generator just past the draws it used.  A family's sweep hook
-takes the same stream and may draw its whole epoch up front; only a family
-without an epoch probe has one that does, so there an abort ends the run and
-nothing reads the generator again.  ``inner`` steps over an empty label set
-are a ValueError; without ``inner`` an epoch takes no step.
+leaves the generator just past the draws it used.  For a family's sweep,
+``sweep(x, d, pos, eta, k)``, the loop draws the whole epoch first, as the
+array ``pos``; only a family without an epoch probe offers a sweep under a
+drawn rule, so there an abort ends the run and nothing reads the generator
+again.  ``inner`` steps over an empty label set are a ValueError; without
+``inner`` an epoch takes no step.
 
 Accounting: the loop writes the ledger.  A step function adds to
 ``trace.update_flops``; ``coordinate_step`` also charges carrier upkeep to
-``trace.oracle_flops`` and counts ``trace.clamped_steps``, and a sweep returns
-its carrier upkeep for the loop to charge there.  Oracle flops are
+``trace.oracle_flops`` and counts ``trace.clamped_steps``; a sweep returns
+its update flops and carrier upkeep for the loop to charge.  Oracle flops are
 the objective's ``setup_flops``, charged once as the run starts (not a call,
 not re-charged by a BW retry), plus the gradient and, for rcd/rcdlin, the
 carrier per invocation.  Update flops follow the published per-coordinate
@@ -180,6 +181,9 @@ def coordinate_basis(man: Manifold, selection: str, labels=None) -> list:
 
 
 def _inner_steps(cfg: OptimizerConfig, labels: list) -> int:
+    if cfg.inner is not None and not labels:
+        raise ValueError(f"{cfg.inner} inner steps per epoch were requested, "
+                         "but the label set is empty")
     return cfg.inner if cfg.inner is not None else len(labels)
 
 
@@ -224,7 +228,8 @@ def run_rcdlin(man: Manifold, obj: Objective, x0: np.ndarray, cfg: OptimizerConf
     labels = coordinate_basis(man, cfg.selection)
     n_inner = _inner_steps(cfg, labels)
     step = coordinate_step(man, anchored_steps=n_inner)
-    sweep = None if cfg.trace == "step" else man.anchored_sweep(labels, n_inner, cfg.selection)
+    sweep = (man.anchored_sweep(labels, n_inner, cfg.selection)
+             if n_inner and cfg.trace != "step" else None)
     return run_epochs(man, obj, x0, cfg, labels, step, fresh_oracle=False, carrier=True,
                       sweep=sweep)
 
@@ -275,18 +280,16 @@ def run_epochs(man: Manifold, obj: Objective, x0: np.ndarray, cfg: OptimizerConf
     new point; ``d`` is the oracle's output, the derivative carrier with
     ``carrier`` set and the Euclidean gradient otherwise.  The oracle runs
     before every step when ``fresh_oracle`` is set, else once per epoch.
-    ``sweep(x, d, positions, eta, trace, k)``, given only with the oracle
-    once per epoch and no per-step records, takes all of an epoch's steps in
-    one call and returns the new point and the carrier upkeep flops.
+    ``sweep(x, d, pos, eta, k)``, given only with the oracle once per epoch,
+    no per-step records and a step per epoch, takes the epoch's steps at the
+    positions ``pos`` the loop drew, in one call, and returns the new point,
+    its update flops and its carrier upkeep flops for the loop to charge.
 
     Every record's objective is checked to be finite; a run that keeps no
     record (``trace="none"``) checks it once, at the last step, (K-1, S-1).
     """
     man.check_shape(x0)
     n_inner = _inner_steps(cfg, labels)
-    if n_inner and not labels:
-        raise ValueError(f"{n_inner} inner steps per epoch were requested, "
-                         "but the label set is empty")
     x = x0.copy()
     rng = SplitMix64(cfg.seed)
     trace = Trace(oracle_flops=obj.setup_flops, eta_used=cfg.eta)
@@ -334,11 +337,13 @@ def run_epochs(man: Manifold, obj: Objective, x0: np.ndarray, cfg: OptimizerConf
                         epoch_feas = man.feasibility_residual(x)
                     positions = epoch_positions(cfg.selection, len(labels), n_inner, rng)
                     if sweep is not None:
-                        if n_inner:
-                            x, upkeep = sweep(x, oracle(x), positions, eta_k, trace, k)
-                            trace.oracle_flops += upkeep
-                            if cfg.trace == "epoch":
-                                record(x, n_inner - 1)
+                        d = oracle(x)
+                        pos = np.fromiter(positions, np.intp, n_inner)
+                        x, update, upkeep = sweep(x, d, pos, eta_k, k)
+                        trace.update_flops += update
+                        trace.oracle_flops += upkeep
+                        if cfg.trace == "epoch":
+                            record(x, n_inner - 1)
                     else:
                         for s, l in enumerate(map(labels.__getitem__, positions)):
                             if fresh_oracle or s == 0:

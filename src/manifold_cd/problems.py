@@ -5,11 +5,11 @@ Every generator is a pure function of (dims, seed): data is drawn from one
 SplitMix64 stream in a fixed documented order, so regenerating a problem
 yields bitwise-identical matrices.
 
-Reference values carry their provenance: ``closed_form`` (SVD or
-eigendecomposition) or ``long_run_baseline`` (a full-gradient run with a 10x
-budget, used where no closed form exists).  The optimality gap is
-|f(X) - f*| / |f*| when f* is nonzero; planted problems with f* = 0 report
-the absolute gap and flag it.
+Reference values carry their provenance: ``closed_form`` (an SVD, a
+planted spectrum or a planted optimum) or ``long_run_baseline`` (a
+full-gradient run with a 10x budget, used where no closed form exists).  The
+optimality gap is |f(X) - f*| / |f*| when f* is nonzero; planted problems
+with f* = 0 report the absolute gap and flag it.
 """
 
 from __future__ import annotations
@@ -18,7 +18,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .linalg import sym_eig, thin_qr, thin_svd
+from .linalg import thin_qr, thin_svd
 from .manifolds import ManifoldDescriptor, make_manifold
 from .optimize import Objective, OptimizerConfig, run_rgd
 from .rng import SplitMix64
@@ -56,7 +56,6 @@ def check_problem_flags(problem: str, **flags) -> None:
 class Reference:
     value: float | None
     provenance: str              # "closed_form" | "long_run_baseline" | "none"
-    point: np.ndarray | None = None
 
 
 @dataclass
@@ -97,7 +96,7 @@ def make_procrustes(n: int, p: int, seed: int):
         euclid_grad=lambda x: c,
         grad_flops=0,
     )
-    return spec, obj, Reference(f_star, "closed_form", x_star)
+    return spec, obj, Reference(f_star, "closed_form")
 
 
 # -- PCA on the Grassmann manifold -------------------------------------------
@@ -107,8 +106,8 @@ def make_pca(n: int, p: int, cond: float, seed: int):
     """min over Grassmann of -tr(X' A X), A = Q diag(lam) Q' with a geometric
     spectrum lam_i = cond^(-i/(n-1)) (so lam_1/lam_n = cond).
 
-    The reference subspace is the span of the top-p eigenvectors; progress is
-    measured by the subspace distance to it.
+    The optimum is the span of the top-p eigenvectors, so f* is minus the
+    sum of the top-p eigenvalues, read off the planted spectrum.
     """
     if n < 2:
         raise ValueError("pca needs n >= 2: the spectrum spreads cond over n - 1 steps")
@@ -119,8 +118,6 @@ def make_pca(n: int, p: int, cond: float, seed: int):
     lam = np.array([cond ** (-i / (n - 1)) for i in range(n)])
     a = q @ np.diag(lam) @ q.T
     a = 0.5 * (a + a.T)
-    v, _ = sym_eig(a)
-    reference = v[:, n - p:]
     spec = ProblemSpec("pca", ManifoldDescriptor("grassmann", (n, p)), seed)
     grad_flops = 2 * n * n * p + n * p
     obj = Objective(
@@ -129,7 +126,7 @@ def make_pca(n: int, p: int, cond: float, seed: int):
         grad_flops=grad_flops,
     )
     f_star = -float(np.sum(lam[:p]))  # lam is descending: the top-p sum
-    return spec, obj, Reference(f_star, "closed_form", reference)
+    return spec, obj, Reference(f_star, "closed_form")
 
 
 # -- nearest symplectic matrix -----------------------------------------------
@@ -150,10 +147,10 @@ def make_nearest_symplectic(n: int, p: int, seed: int,
         a = man.random_point(rng)
         for l in man.enumerate_basis():
             a, _ = man.coordinate_retract(a, l, 0.15 * rng.normal(), inplace=True)
-        ref = Reference(0.0, "closed_form", a.copy())
+        ref = Reference(0.0, "closed_form")
     else:
         a = rng.gaussian(2 * n, 2 * p)
-        ref = Reference(None, "long_run_baseline", None)
+        ref = Reference(None, "long_run_baseline")
     spec = ProblemSpec("nearest-symplectic", desc, seed)
     np4 = 4 * n * p
     obj = Objective(
@@ -203,7 +200,7 @@ def make_weighted_ls(n: int, p: int, density: float, seed: int):
     desc = ManifoldDescriptor("spsd_factored", (n, p))
     spec = ProblemSpec("weighted-ls", desc, seed,
                        {"density": density, "x_star": x_star, "mask": mask})
-    return spec, weighted_ls_objective(spec), Reference(0.0, "closed_form", y_star)
+    return spec, weighted_ls_objective(spec), Reference(0.0, "closed_form")
 
 
 def weighted_ls_objective(spec: ProblemSpec) -> Objective:
@@ -238,7 +235,7 @@ def make_ds_quadratic(m: int, n: int, seed: int):
         euclid_grad=lambda x: x - target,
         grad_flops=m * n,
     )
-    return spec, obj, Reference(None, "none", target)
+    return spec, obj, Reference(None, "none")
 
 
 # -- initial points ------------------------------------------------------------

@@ -17,14 +17,8 @@ import pytest
 
 from manifold_cd import ManifoldDescriptor, make_manifold
 from manifold_cd.indices import Pair
-from manifold_cd.manifolds.stiefel import enumerate_pairs, pivot_row_runs
-from manifold_cd.optimize import (
-    Objective,
-    OptimizeAbort,
-    OptimizerConfig,
-    epoch_positions,
-    optimize as run,
-)
+from manifold_cd.manifolds.stiefel import Stiefel
+from manifold_cd.optimize import Objective, OptimizeAbort, OptimizerConfig, optimize as run
 from manifold_cd.problems import initial_point, make_pca
 from manifold_cd.rng import SplitMix64
 
@@ -75,27 +69,19 @@ def _assert_bitwise(fast, slow):
 
 
 class TestRuns:
-    def test_full_cyclic_sweep(self):
-        runs = pivot_row_runs(enumerate_pairs(4), 6)
-        assert list(runs()) == [(0, 0, 1, 4), (3, 1, 2, 4), (5, 2, 3, 4)]
+    """Runs the sweep finds in an epoch's positions, each against the
+    sequential path: a repeated label, an epoch that ends mid-row or wraps,
+    and epochs of every length around |I| = 21."""
 
-    def test_inner_cuts_and_wraps(self):
-        runs = pivot_row_runs(enumerate_pairs(4), 8)
-        assert list(runs()) == [(0, 0, 1, 4), (3, 1, 2, 4), (5, 2, 3, 4),
-                                (6, 0, 1, 3)]
-        assert list(pivot_row_runs(enumerate_pairs(4), 2)()) == [(0, 0, 1, 3)]
-
-    def test_repeated_label_gives_single_steps(self):
-        runs = pivot_row_runs([Pair(0, 1)], 3)
-        assert list(runs()) == [(0, 0, 1, 2), (1, 0, 1, 2), (2, 0, 1, 2)]
-
-    def test_runs_cover_the_stream(self):
-        labels = enumerate_pairs(7)
-        for n_inner in (0, 1, 5, 21, 22, 50):
-            stream = [Pair(i, j) for _, i, j0, j1 in pivot_row_runs(labels, n_inner)()
-                      for j in range(j0, j1)]
-            assert stream == [labels[p] for p in
-                              epoch_positions("cyclic", len(labels), n_inner, None)]
+    @pytest.mark.parametrize("n, p, inner", [
+        (2, 1, 3),  # the one label (0, 1) repeats, so every run is one step
+        (4, 2, 2),  # the epoch ends inside the first pivot row
+        (4, 2, 8),  # the epoch wraps and ends inside the first row again
+        (7, 3, 1), (7, 3, 5), (7, 3, 21), (7, 3, 22), (7, 3, 50),
+    ])
+    def test_runs_match_sequential(self, n, p, inner):
+        man, obj, x0 = _target_problem("stiefel", n, p)
+        _assert_bitwise(*_run_both(man, obj, x0, epochs=3, inner=inner, eta=0.3))
 
 
 class TestParity:
@@ -195,6 +181,19 @@ class TestSequentialPathKept:
         cfg = OptimizerConfig(algorithm=algo, selection=selection, trace=trace,
                               epochs=2, eta=0.01)
         run(man, obj, man.random_point(SplitMix64(3)), cfg)
+
+    def test_an_empty_basis_asks_for_no_sweep(self, monkeypatch):
+        # Stiefel(1, 1) has no coordinate pairs, so its epochs take no step
+        def forbidden(*args):
+            raise AssertionError("anchored_sweep asked for an epoch without steps")
+
+        monkeypatch.setattr(Stiefel, "anchored_sweep", forbidden)
+        man, obj, x0 = _target_problem("stiefel", 1, 1)
+        x, trace = run(man, obj, x0, OptimizerConfig(algorithm="rcdlin", trace="epoch",
+                                                     epochs=3))
+        assert x.tobytes() == x0.tobytes()
+        assert trace.oracle_calls == 0 and trace.records == []
+        assert trace.final_f() == obj.value(x0)
 
     def test_cyclic_epoch_rcdlin_uses_sweep(self, monkeypatch):
         used = []

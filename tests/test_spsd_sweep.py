@@ -156,9 +156,9 @@ def test_random_epochs_repeat_entries(monkeypatch):
     def spy(*args):
         sweep = real(*args)
 
-        def keep(y, d, positions, *rest):
-            drawn.append(list(positions))
-            return sweep(y, d, iter(drawn[-1]), *rest)
+        def keep(y, d, pos, *rest):
+            drawn.append(pos.tolist())
+            return sweep(y, d, pos, *rest)
         return keep
 
     monkeypatch.setattr(chains, "column_chain_sweep", spy)
