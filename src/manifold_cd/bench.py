@@ -281,11 +281,10 @@ def run_symplectic_block_cd(spec: ProblemSpec, obj: Objective, x0: np.ndarray,
     costs = block_flops(n, p)
     pair_step = coordinate_step(man)
 
-    def step(x, g, l, eta, trace, s):
+    def step(x, g, l, eta, s):
         if isinstance(l, str):
-            trace.update_flops += costs[l]
-            return symplectic_block_step(x, l, eta, g)
-        return pair_step(x, g, l, eta, trace, s)
+            return symplectic_block_step(x, l, eta, g), costs[l], 0, 0
+        return pair_step(x, g, l, eta, s)
 
     labels = list(costs) + [Pair(i, n + j) for i in range(n) for j in range(n) if j != i]
     return run_epochs(man, obj, x0, cfg, coordinate_basis(man, cfg.selection, labels),

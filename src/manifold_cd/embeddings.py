@@ -202,12 +202,13 @@ def objective(prob: HierarchyProblem) -> Objective:
 def _sweep(pairs: list):
     """The engine step: one pass over the row pairs, rotating every word at
     once.  Under the anchored gradient the words are independent columns, each
-    seeing a word-by-word sweep's operations in order.  A pair charges 4 flops
+    seeing a word-by-word sweep's operations in order.  A pair costs 4 flops
     per word and 6 per moving word; a hyperbolic angle above MAX_EXP_STEP, or
     an infinite circular one, raises OverflowError before the pair is
     written, naming the word."""
 
-    def step(x, g, _l, eta, trace, _s):
+    def step(x, g, _l, eta, _s):
+        flops = 0
         for i, j in pairs:
             theta = g[0] * x[j] + g[j] * x[0] if i == 0 else g[i] * x[j] - g[j] * x[i]
             angle = -eta * theta
@@ -220,14 +221,14 @@ def _sweep(pairs: list):
                 raise OverflowError(f"rotation angle overflow on word {w} "
                                     f"(|angle|={abs(angle[w]):.3g})")
             m = np.flatnonzero(moving)
-            trace.update_flops += 4 * x.shape[1] + 6 * m.size
+            flops += 4 * x.shape[1] + 6 * m.size
             # time-row pairs rotate hyperbolically; linalg's kernel and its
             # math trig per moving word (np.cosh/np.sinh round differently)
             cos, sin = ROTATIONS["hyperbolic" if i == 0 else "circular"]
             am = angle[m].tolist()
             c, sn = np.array(list(map(cos, am))), np.array(list(map(sin, am)))
             rotate_rows(x, (i, m), (j, m), c, sn, i == 0)
-        return x
+        return x, flops, 0, 0
 
     return step
 

@@ -44,8 +44,8 @@ family needs of it, and their defaults keep every other family out.
 no step is recorded: the pivot-row sweep of Stiefel and Grassmann under
 cyclic selection, and the column-chain sweep of the factored SPSD family
 under every drawn rule, for epochs whose column chains are short.  A sweep
-is an epoch kernel: it takes the positions the loop drew and returns the
-point and its flops, which the loop charges.
+is an epoch kernel: it takes the positions the loop drew and returns what a
+step returns, for the loop to charge.
 """
 
 from __future__ import annotations
@@ -237,19 +237,16 @@ class Manifold(ABC):
 
     def anchored_sweep(self, labels: list, n_inner: int, selection: str):
         """``sweep(x, d, pos, eta, k) -> (x, update flops, carrier upkeep
-        flops)``: an anchored epoch of ``n_inner`` steps in one call, bitwise
-        the steps ``coordinate_step`` takes, or None to step label by label
-        (also where a sweep would be the slower, which the family decides
-        from ``n_inner`` and its dimensions).  The engine asks only for
-        epochs that take a step.
-        ``pos`` is the epoch's array of ``n_inner`` label positions, which
-        the epoch loop draws from ``optimize.epoch_positions`` before the
-        first step; the loop charges the flops the sweep returns, so a sweep
-        never sees the trace or the stream.  Only a family without an
-        ``epoch_probe`` may return one for a drawn rule: there an abort ends
-        the run, while a probe's retry would resume the generator past draws
-        the step path never made.  A refused step raises ``OptimizeAbort``
-        at its own (k, s)."""
+        flops, clamped steps)``: an anchored epoch of ``n_inner`` steps in
+        one call, bitwise the steps ``coordinate_step`` takes, or None to
+        step label by label (also where a sweep would be the slower, which
+        the family decides from ``n_inner`` and its dimensions).  The engine
+        asks only for epochs that take a step.
+        ``pos`` is the array of ``n_inner`` label positions that the epoch
+        loop drew (``optimize.epoch_positions``) and the step path would
+        index too; the loop charges what the sweep returns, so a sweep never
+        sees the trace or the generator.  A refused step raises
+        ``OptimizeAbort`` at its own (k, s)."""
         return None
 
     # epoch_probe(x) False: the epoch is retried at half the stepsize

@@ -136,11 +136,10 @@ def column_chain_sweep(man: FactoredSpsd, labels: list):
     chain (see the module docstring): ``coordinate_step``'s arithmetic,
     bitwise, without its per-step column fix-up.  ``rcdlin`` takes each epoch
     so, under every drawn rule, unless the trace records every step or the
-    epoch is outside the sweep's crossovers.  The epoch loop draws the
-    positions ``pos`` before the first step, which the family allows: it has
-    no epoch probe, so an abort ends the run.  A step whose t underflows to
-    zero writes nothing to y (a -0.0 keeps its sign) but still feeds its
-    chain, and a skipped step touches nothing.
+    epoch is outside the sweep's crossovers; ``pos`` holds the positions the
+    epoch loop drew.  A step whose t underflows to zero writes nothing to y
+    (a -0.0 keeps its sign) but still feeds its chain, and a skipped step
+    touches nothing.
     Only the sweep knows the step (k, s) of a refusal, so it raises
     ``OptimizeAbort`` with ``coordinate_step``'s reasons."""
     rows = np.array([l.i for l in labels], dtype=np.intp)
@@ -188,7 +187,7 @@ def column_chain_sweep(man: FactoredSpsd, labels: list):
         moving = sum(map(len, chains))
         # theta is the last step's, whose fix-up coordinate_step never makes
         return (y, n_inner * dflops + moving * uflops,
-                (moving - (abs(theta) >= ZERO_DERIVATIVE_SKIP)) * upkeep)
+                (moving - (abs(theta) >= ZERO_DERIVATIVE_SKIP)) * upkeep, 0)
 
     return sweep
 

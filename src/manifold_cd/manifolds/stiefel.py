@@ -157,7 +157,7 @@ def pivot_row_sweep(man: Manifold, labels: list):
                 sn = np.array(ss)[:, None]
                 x[moved] = c * x[moved] - sn * np.array(pivots)
                 x[i] = xi
-        return x, len(pos) * dflops + moving * uflops, 0
+        return x, len(pos) * dflops + moving * uflops, 0, 0
 
     return sweep
 

@@ -20,23 +20,22 @@ the same algorithm, and for constant-gradient objectives they coincide for
 any S, bitwise.  Only ``run_tsd`` names a family; the loop meets the rest
 through the ``Manifold`` hooks.
 
-Selection rules, one lazy stream of label positions per epoch
+Selection rules, one array of label positions per epoch
 (``epoch_positions``): cyclic (position s mod |I| in enumeration order), random
 (uniform, rejection-sampled), without-replacement (a fresh uniform
 permutation per |I| block), and time-cyclic (hyperbolic only: the pairs
-(0,1), (0,2), ..., (0,n-1)).  The step path indexes the labels with the
-positions as it reaches them, so a BW epoch that aborts and is retried
-leaves the generator just past the draws it used.  For a family's sweep,
-``sweep(x, d, pos, eta, k)``, the loop draws the whole epoch first, as the
-array ``pos``; only a family without an epoch probe offers a sweep under a
-drawn rule, so there an abort ends the run and nothing reads the generator
-again.  ``inner`` steps over an empty label set are a ValueError; without
-``inner`` an epoch takes no step.
+(0,1), (0,2), ..., (0,n-1)).  The loop draws the array after the epoch-start
+logs; the step path indexes the labels with it, and a family's sweep,
+``sweep(x, d, pos, eta, k)``, takes it whole.  A BW epoch that aborts at step
+s and is retried rewinds the generator to the epoch start and redraws s + 1
+positions, so it leaves the generator where drawing step by step would.
+``inner`` steps over an empty label set are a ValueError; without ``inner``
+an epoch takes no step.
 
-Accounting: the loop writes the ledger.  A step function adds to
-``trace.update_flops``; ``coordinate_step`` also charges carrier upkeep to
-``trace.oracle_flops`` and counts ``trace.clamped_steps``; a sweep returns
-its update flops and carrier upkeep for the loop to charge.  Oracle flops are
+Accounting: the loop alone writes the ledger.  A step, ``step(x, d, l, eta,
+s)``, and a sweep both return ``(x, update_flops, upkeep_flops, clamped)``:
+the update flops, the carrier upkeep (charged as oracle flops) and the count
+of clamped steps, which the loop charges.  Oracle flops are
 the objective's ``setup_flops``, charged once as the run starts (not a call,
 not re-charged by a BW retry), plus the gradient and, for rcd/rcdlin, the
 carrier per invocation.  Update flops follow the published per-coordinate
@@ -49,9 +48,9 @@ emit byte-identical traces.
 
 from __future__ import annotations
 
-import itertools
 import math
 import time
+from copy import copy
 from dataclasses import dataclass, field, replace
 from typing import Callable
 
@@ -149,20 +148,17 @@ class Trace:
         return self.records[-1].f if self.records else self.unrecorded_f
 
 
-def epoch_positions(rule: str, m: int, n_inner: int, rng: SplitMix64):
-    """One epoch's ``n_inner`` positions into m labels, drawn lazily: cyclic
-    and time-cyclic repeat 0, ..., m-1, random draws ``rng.below(m)`` per
-    step, and without-replacement a fresh ``rng.permutation(m)`` at steps 0,
-    m, 2m, ...  Abandoned after k positions, it has made only those k
-    positions' draws."""
-    if rule in ("cyclic", "time-cyclic"):
-        return itertools.islice(itertools.cycle(range(m)), n_inner)
+def epoch_positions(rule: str, m: int, n_inner: int, rng: SplitMix64) -> np.ndarray:
+    """One epoch's ``n_inner`` positions into m labels: cyclic and time-cyclic
+    repeat 0, ..., m-1, random draws ``rng.below(m)`` per step, and
+    without-replacement a fresh ``rng.permutation(m)`` per block of m steps.
+    Its first k positions make the draws that k drawn one at a time would."""
     if rule == "random":
-        return map(rng.below, itertools.repeat(m, n_inner))
-    # each block's permutation is drawn as the block starts, not up front;
-    # max(m, 1): an empty basis with n_inner = 0 has no block
-    return itertools.chain.from_iterable(
-        rng.permutation(m)[:n_inner - start].tolist() for start in range(0, n_inner, max(m, 1)))
+        return rng.below_vector(m, n_inner)
+    if rule == "without-replacement":  # max(m, 1): an empty epoch has no block
+        blocks = [rng.permutation(m) for _ in range(0, n_inner, max(m, 1))]
+        return np.concatenate([np.empty(0, np.int64), *blocks])[:n_inner]
+    return np.arange(n_inner) % m
 
 
 def _check_finite(v: float, k: int, s: int, what: str) -> float:
@@ -190,30 +186,26 @@ def _inner_steps(cfg: OptimizerConfig, labels: list) -> int:
 def coordinate_step(man: Manifold, anchored_steps: int = 0):
     """The engine's coordinate step: read theta from the oracle output at
     label l, skip a zero derivative, retract with -step_scale * eta * theta
-    and charge the published flops.  With ``anchored_steps`` = S the carrier
+    and return the published flops.  With ``anchored_steps`` = S the carrier
     is anchored for the epoch and kept exact by ``update_carrier`` after
     every step but the last."""
     scale = man.step_scale
     last = anchored_steps - 1
 
-    def step(x, d, l, eta, trace, s):
+    def step(x, d, l, eta, s):
         theta = man.coordinate_derivative_from_carrier(x, d, l)
         if not math.isfinite(theta):
             raise FloatingPointError(NONFINITE_DERIVATIVE)
         dflops, uflops = man.flop_parts(l)
-        trace.update_flops += dflops
-        if abs(theta) >= ZERO_DERIVATIVE_SKIP:
-            t = -scale * eta * theta
-            if not math.isfinite(t):
-                raise OverflowError(step_overflow(t))
-            x, clamped = man.coordinate_retract(x, l, t, inplace=True)
-            trace.update_flops += uflops
-            if clamped:
-                trace.clamped_steps += 1
-            if s < last:
-                # no-op for families whose carrier ignores the point
-                trace.oracle_flops += man.update_carrier(d, x, l, t)
-        return x
+        if abs(theta) < ZERO_DERIVATIVE_SKIP:
+            return x, dflops, 0, 0
+        t = -scale * eta * theta
+        if not math.isfinite(t):
+            raise OverflowError(step_overflow(t))
+        x, clamped = man.coordinate_retract(x, l, t, inplace=True)
+        # no-op for families whose carrier ignores the point
+        upkeep = man.update_carrier(d, x, l, t) if s < last else 0
+        return x, dflops + uflops, upkeep, clamped
 
     return step
 
@@ -239,9 +231,8 @@ def run_rgd(man: Manifold, obj: Objective, x0: np.ndarray, cfg: OptimizerConfig)
     if cfg.selection != "cyclic" or cfg.inner is not None:
         raise ValueError("rgd takes one full step per epoch: use cyclic selection, no inner")
 
-    def step(x, g, _l, eta, trace, _s):
-        trace.update_flops += man.rgd_flops()
-        return man.full_retract(x, man.riemannian_gradient(x, g), -eta)
+    def step(x, g, _l, eta, _s):
+        return man.full_retract(x, man.riemannian_gradient(x, g), -eta), man.rgd_flops(), 0, 0
 
     return run_epochs(man, obj, x0, cfg, [None], step, fresh_oracle=False)
 
@@ -252,16 +243,11 @@ def run_tsd(man: Manifold, obj: Objective, x0: np.ndarray, cfg: OptimizerConfig)
         raise ValueError("the column-wise baseline runs on the Stiefel family")
     n, p = man.ambient_shape
 
-    def step(x, g, l, eta, trace, _s):
+    def step(x, g, l, eta, _s):
         dflops, uflops = tsd_flop_parts(l, n, p)
-        trace.update_flops += dflops
-        if isinstance(l, Pair):
-            x, moved = tsd_pair_step(x, l.i, l.j, eta, g)
-        else:
-            x, moved = tsd_column_step(x, l.k, eta, g)
-        if moved != 0.0:
-            trace.update_flops += uflops
-        return x
+        x, moved = (tsd_pair_step(x, l.i, l.j, eta, g) if isinstance(l, Pair)
+                    else tsd_column_step(x, l.k, eta, g))
+        return x, dflops + (uflops if moved != 0.0 else 0), 0, 0
 
     labels = coordinate_basis(man, cfg.selection, tsd_enumerate(p))
     return run_epochs(man, obj, x0, cfg, labels, step, fresh_oracle=True)
@@ -275,15 +261,15 @@ def optimize(man: Manifold, obj: Objective, x0: np.ndarray, cfg: OptimizerConfig
 def run_epochs(man: Manifold, obj: Objective, x0: np.ndarray, cfg: OptimizerConfig,
                labels: list, step, fresh_oracle: bool, carrier: bool = False,
                sweep=None):
-    """The epoch loop of every optimizer.  ``step(x, d, l, eta, trace, s)``
-    takes the step at label ``l``, charges its update flops and returns the
-    new point; ``d`` is the oracle's output, the derivative carrier with
-    ``carrier`` set and the Euclidean gradient otherwise.  The oracle runs
-    before every step when ``fresh_oracle`` is set, else once per epoch.
-    ``sweep(x, d, pos, eta, k)``, given only with the oracle once per epoch,
-    no per-step records and a step per epoch, takes the epoch's steps at the
-    positions ``pos`` the loop drew, in one call, and returns the new point,
-    its update flops and its carrier upkeep flops for the loop to charge.
+    """The epoch loop of every optimizer, and the one writer of the ledger.
+    ``step(x, d, l, eta, s)`` takes step s, at label ``l``; ``d`` is the
+    oracle's output, the derivative carrier with ``carrier`` set and the
+    Euclidean gradient otherwise.  The oracle runs before every step when
+    ``fresh_oracle`` is set, else once per epoch.  ``sweep(x, d, pos, eta,
+    k)``, given only with the oracle once per epoch, no per-step records and
+    a step per epoch, takes all the epoch's steps in one call.  Both index
+    the epoch's drawn positions ``pos``, and both return ``(x, update_flops,
+    upkeep_flops, clamped)`` for the loop to charge.
 
     Every record's objective is checked to be finite; a run that keeps no
     record (``trace="none"``) checks it once, at the last step, (K-1, S-1).
@@ -306,6 +292,12 @@ def run_epochs(man: Manifold, obj: Objective, x0: np.ndarray, cfg: OptimizerConf
         trace.oracle_flops += oracle_flops
         return man.derivative_carrier(x, g) if carrier else g
 
+    def charge(x, update, upkeep, clamped):
+        trace.update_flops += update
+        trace.oracle_flops += upkeep
+        trace.clamped_steps += clamped
+        return x
+
     def record(x, s):
         fval = _check_finite(obj.value(x), k, s, "objective")
         wall = time.monotonic_ns() - t0 if cfg.log_wall else None
@@ -321,11 +313,11 @@ def run_epochs(man: Manifold, obj: Objective, x0: np.ndarray, cfg: OptimizerConf
         while k < cfg.epochs:
             eta_k = eta if cfg.eta_decay == 0.0 else eta / (1.0 + cfg.eta_decay * k)
             if probe is not None:
-                # a retry restores this shallow copy, which shares the record
-                # list, and cuts the list back to its length here
-                epoch_start, saved, nrec = x.copy(), replace(trace), len(trace.records)
-            epoch_grad = None
-            epoch_feas = None
+                # a retry restores these copies (the trace's shares the record
+                # list, which it cuts back to its length here)
+                epoch_start, saved, nrec, rng_start = (x.copy(), replace(trace),
+                                                       len(trace.records), copy(rng))
+            epoch_grad = epoch_feas = pos = None
             s = 0
             try:
                 # the one converter: a refusal is located at the step s reached
@@ -335,30 +327,29 @@ def run_epochs(man: Manifold, obj: Objective, x0: np.ndarray, cfg: OptimizerConf
                         trace.instrumentation_flops += obj.grad_flops
                     if cfg.feas_log_every and k % cfg.feas_log_every == 0:
                         epoch_feas = man.feasibility_residual(x)
-                    positions = epoch_positions(cfg.selection, len(labels), n_inner, rng)
+                    pos = epoch_positions(cfg.selection, len(labels), n_inner, rng)
                     if sweep is not None:
-                        d = oracle(x)
-                        pos = np.fromiter(positions, np.intp, n_inner)
-                        x, update, upkeep = sweep(x, d, pos, eta_k, k)
-                        trace.update_flops += update
-                        trace.oracle_flops += upkeep
-                        if cfg.trace == "epoch":
-                            record(x, n_inner - 1)
+                        x = charge(*sweep(x, oracle(x), pos, eta_k, k))
                     else:
-                        for s, l in enumerate(map(labels.__getitem__, positions)):
+                        for s, l in enumerate(map(labels.__getitem__, pos.tolist())):
                             if fresh_oracle or s == 0:
                                 d = oracle(x)
-                            x = step(x, d, l, eta_k, trace, s)
-                            if cfg.trace == "step" or (cfg.trace == "epoch" and s == n_inner - 1):
+                            x = charge(*step(x, d, l, eta_k, s))
+                            if cfg.trace == "step":
                                 record(x, s)
+                    if cfg.trace == "epoch" and n_inner:
+                        record(x, n_inner - 1)
                 except (ArithmeticError, np.linalg.LinAlgError) as exc:
                     raise OptimizeAbort(k, s, str(exc)) from exc
                 probe_failed = probe is not None and not probe(x)
-            except OptimizeAbort:
+            except OptimizeAbort as abort:
                 # on a family with a probe a mid-epoch abort counts as a
                 # failed probe (the stepsize is simply too large)
                 if probe is None:
                     raise
+                if pos is not None:  # keep only the draws of steps 0..s
+                    rng = rng_start
+                    epoch_positions(cfg.selection, len(labels), abort.s + 1, rng)
                 probe_failed = True
             if probe_failed:
                 if halvings >= PROBE_HALVINGS:

@@ -14,15 +14,15 @@ bias); normals use Box-Muller.
 Block draws.  The k-th draw is a fixed function of state + k*gamma (Steele,
 Lea & Flood, "Fast Splittable Pseudorandom Number Generators", OOPSLA 2014),
 so ``_block(k)`` computes the next k outputs as one numpy uint64 expression
-whose wrapping multiplies are exact.  ``uniform_vector``, ``gaussian`` and
-``permutation`` draw through it and yield the same stream, bit for bit, as
-the scalar methods: the same values, the same final state and the same
-cached normal.  Box-Muller keeps ``math.log``, ``math.cos`` and
-``math.sin`` (numpy's ``log`` rounds differently); the square root and the
-multiplies are IEEE-exact either way.  ``permutation`` tests the whole block
-against ``below``'s rejection threshold; at a draw that ``below`` would
-reject (chance about b/2**64) it rewinds the state to that draw and finishes
-the block on the scalar ``below``.
+whose wrapping multiplies are exact.  Every method that returns an array
+draws through it and yields the same stream, bit for bit, as the scalar
+methods: the same values, the same final state and the same cached normal.
+Box-Muller keeps ``math.log``, ``math.cos`` and ``math.sin`` (numpy's
+``log`` rounds differently); the square root and the multiplies are
+IEEE-exact either way.  ``below_vector`` and ``permutation`` test the whole
+block against ``below``'s rejection threshold; at a draw that ``below``
+would reject (chance about b/2**64) they rewind the state to that draw and
+finish the block on the scalar ``below``.
 
 The uint64 trap: every block operand is a numpy uint64 array or an
 ``np.uint64`` constant.  Under numpy 1.x an ``np.uint64`` scalar mixed with a
@@ -90,18 +90,29 @@ class SplitMix64:
             if u < limit:
                 return u % n
 
-    def _below_block(self, bounds: np.ndarray) -> list[int]:
+    def _below_block(self, bounds: np.ndarray) -> np.ndarray:
         """``[below(b) for b in bounds]`` for a uint64 array of positive
-        bounds, drawn as one block."""
+        bounds, drawn as one block, as a uint64 array."""
         start = self._state
         u = self._block(bounds.size)
+        out = u % bounds
         # below(b) keeps u < 2**64 - r with r = 2**64 mod b
         reject = u > _U_MAX - (_U_MAX % bounds + _U_ONE) % bounds
-        if not reject.any():
-            return (u % bounds).tolist()
-        t = int(reject.argmax())
-        self._state = (start + t * _GAMMA) & _MASK
-        return (u[:t] % bounds[:t]).tolist() + [self.below(b) for b in bounds[t:].tolist()]
+        if reject.any():
+            t = int(reject.argmax())
+            self._state = (start + t * _GAMMA) & _MASK
+            out[t:] = [self.below(b) for b in bounds[t:].tolist()]
+        return out
+
+    def below_vector(self, n: int, k: int) -> np.ndarray:
+        """``k`` draws of ``below(n)`` as an int64 array."""
+        if k and not 0 < n <= 1 << 63:
+            raise ValueError("below_vector() needs a bound in [1, 2**63]")
+        out = np.empty(k, dtype=np.int64)
+        for lo in range(0, k, _BLOCK):
+            hi = min(k, lo + _BLOCK)
+            out[lo:hi] = self._below_block(np.full(hi - lo, n, dtype=np.uint64))
+        return out
 
     def normal(self) -> float:
         """Standard normal via Box-Muller; the second of each pair is cached."""
@@ -160,7 +171,7 @@ class SplitMix64:
         perm = list(range(n))
         for hi in range(n, 1, -_BLOCK):  # bounds hi, hi-1, ..., lo+1
             lo = max(hi - _BLOCK, 1)
-            js = self._below_block(np.arange(hi, lo, -1, dtype=np.uint64))
+            js = self._below_block(np.arange(hi, lo, -1, dtype=np.uint64)).tolist()
             for i, j in zip(range(hi - 1, lo - 1, -1), js):
                 perm[i], perm[j] = perm[j], perm[i]
         return np.array(perm, dtype=np.int64)

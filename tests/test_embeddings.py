@@ -17,7 +17,7 @@ from manifold_cd.embeddings import (
     train,
 )
 from manifold_cd.manifolds import ManifoldDescriptor, lift_to_hyperboloid, make_manifold
-from manifold_cd.optimize import OptimizeAbort, OptimizerConfig, Trace
+from manifold_cd.optimize import OptimizeAbort, OptimizerConfig
 from manifold_cd.problems import PRESETS
 from manifold_cd.rng import SplitMix64
 from reference import edge_separation, hyperbolic_distance
@@ -294,14 +294,15 @@ def test_only_time_row_pairs_refuse_a_large_angle():
     # angle is inf, raises before the pair is written
     x = initial_embedding(make_lorentz_embed(3, 4, 0))
     g = SplitMix64(1).gaussian(3, 4)
-    y = embeddings._sweep([(1, 2)])(x.copy(), g, None, 1e6, Trace(), 0)
+    y, flops, upkeep, clamped = embeddings._sweep([(1, 2)])(x.copy(), g, None, 1e6, 0)
     assert not np.array_equal(y, x)
+    assert (flops, upkeep, clamped) == (4 * 4 + 6 * 4, 0, 0)  # all 4 words move
     assert _column_feasibility(y) <= 1e-12
     for pair, grad, eta in [((0, 1), g, 1e6), ((1, 2), 100.0 * g, 1e308)]:
         y = x.copy()
         with np.errstate(over="ignore"), pytest.raises(
                 OverflowError, match=r"rotation angle overflow on word \d"):
-            embeddings._sweep([pair])(y, grad, None, eta, Trace(), 0)
+            embeddings._sweep([pair])(y, grad, None, eta, 0)
         assert np.array_equal(y, x)
 
 

@@ -80,16 +80,6 @@ def test_engine_hooks_belong_to_their_family(family_case):
     assert man.epoch_probe is None or man.epoch_probe(x) is True
 
 
-def test_a_sweep_over_drawn_labels_has_no_probe(family_case):
-    """A sweep under a drawn rule draws its whole epoch up front, which only
-    a family whose aborts end the run may do: a probe's retry would resume
-    the generator past draws the step path never made."""
-    man, _ = family_case
-    labels = man.enumerate_basis()
-    if any(man.anchored_sweep(labels, 2 * len(labels), rule) is not None for rule in DRAWN):
-        assert man.epoch_probe is None
-
-
 def test_random_point_feasible(family_case):
     man, x = family_case
     assert man.feasibility_residual(x) <= 1e-10

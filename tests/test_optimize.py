@@ -2,6 +2,7 @@
 semantics, abort policy, and the baselines."""
 
 import dataclasses
+import hashlib
 import itertools
 import math
 
@@ -11,6 +12,7 @@ import pytest
 from manifold_cd import ManifoldDescriptor, make_manifold
 from manifold_cd.indices import Pair
 from manifold_cd.optimize import (
+    SELECTIONS,
     Objective,
     OptimizeAbort,
     OptimizerConfig,
@@ -71,26 +73,31 @@ class TestSelection:
         picks = epoch_labels("time-cyclic", basis, 8, SplitMix64(1))
         assert picks == basis + basis
 
-    def test_randomized_draws_are_lazy(self):
-        basis = [Pair(i, j) for i in range(4) for j in range(i + 1, 4)]
-        m = len(basis)
+    def test_positions_are_one_array_per_epoch(self):
+        m = 6
         # n_inner = 2.5 |I|: two full permutation blocks, then half a fresh one
-        picks = epoch_labels("without-replacement", basis, 5 * m // 2, SplitMix64(3))
+        pos = epoch_positions("without-replacement", m, 5 * m // 2, SplitMix64(3))
         ref = SplitMix64(3)
         blocks = [ref.permutation(m).tolist() for _ in range(3)]
-        assert picks == [basis[p] for p in blocks[0] + blocks[1] + blocks[2][:m // 2]]
-        # an abandoned epoch advances the generator by the labels it gave only
-        for rule, draw in (("random", lambda r: r.below(m)),
-                           ("without-replacement", lambda r: r.permutation(m))):
-            for k in (0, 1, m - 1, m, m + 1):
-                rng, ref = SplitMix64(5), SplitMix64(5)
-                positions = epoch_positions(rule, m, 3 * m, rng)
-                for _ in range(k):
-                    next(positions)
-                draws = k if rule == "random" else -(-k // m)
-                for _ in range(draws):
-                    draw(ref)
-                assert rng._state == ref._state, (rule, k)
+        assert pos.dtype == np.intp
+        assert pos.tolist() == blocks[0] + blocks[1] + blocks[2][:m // 2]
+        # random: the scalar below stream, leaving the generator where it does
+        rng, ref = SplitMix64(5), SplitMix64(5)
+        pos = epoch_positions("random", m, 40, rng)
+        assert pos.dtype == np.intp and pos.tolist() == [ref.below(m) for _ in range(40)]
+        assert rng._state == ref._state
+        for rule in ("cyclic", "time-cyclic"):
+            rng = SplitMix64(5)
+            assert epoch_positions(rule, m, 15, rng).tolist() == [s % m for s in range(15)]
+            assert rng._state == 5
+
+    @pytest.mark.parametrize("rule", SELECTIONS)
+    def test_an_empty_epoch_draws_nothing(self, rule):
+        rng = SplitMix64(5)
+        for m in (0, 3):
+            pos = epoch_positions(rule, m, 0, rng)
+            assert pos.dtype == np.intp and pos.size == 0
+        assert rng._state == 5
 
     def test_time_cyclic_rejected_off_hyperbolic(self):
         man, obj, x0, _ = _pca_setup()
@@ -433,6 +440,36 @@ class TestBaselines:
         assert (err.value.k, err.value.s) == (0, 0)
         assert err.value.reason == "definiteness probe failed after 30 stepsize halvings"
         assert len(calls) == 31
+
+    @pytest.mark.parametrize("selection, algo, inner, seed, bound, halvings, digest", [
+        ("random", "rcd", 5, 3, math.inf, 30,
+         "aa684a58b87d6b2d366eef97c24906849633ba06f16daacb381926ed3be56f3d"),
+        ("without-replacement", "rcdlin", 13, 0, 10.0, 12,
+         "67d6f1e561769492fa738bdea8e91ea80a91860647ed166f74891d4f544d9a70"),
+    ], ids=["random", "without-replacement"])
+    def test_bw_retry_rewinds_the_generator(self, selection, algo, inner, seed, bound,
+                                            halvings, digest):
+        # a retried epoch that aborted at step s keeps only the draws of steps
+        # 0..s: these runs were recorded while positions were drawn one per
+        # step, and without the rewind they end at 4 * 2**-23 and 4 * 2**-10.
+        # f is +inf outside |x| < bound, so the second run aborts mid-epoch
+        man = make_manifold(ManifoldDescriptor("spd_bures_wasserstein", (3, 3)))
+        target = np.diag([4.0, 3.0, 2.0])
+
+        def value(x):
+            return float(np.sum((x - target) ** 2)) if np.abs(x).max() < bound else math.inf
+
+        obj = Objective(value=value, euclid_grad=lambda x: 2.0 * (x - target))
+        cfg = OptimizerConfig(algorithm=algo, epochs=6, eta=4.0, inner=inner,
+                              selection=selection, seed=seed, trace="step", grad_log_every=2)
+        x, trace = {"rcd": run_rcd, "rcdlin": run_rcdlin}[algo](man, obj, np.eye(3), cfg)
+        assert trace.eta_used == 4.0 / 2**halvings
+        assert len(trace.records) == 6 * inner
+        h = hashlib.sha256(x.tobytes())
+        for r in trace.records:
+            h.update(repr(dataclasses.astuple(r)).encode())
+        h.update(repr((trace.oracle_calls, trace.oracle_flops, trace.update_flops)).encode())
+        assert h.hexdigest() == digest
 
 
 class TestRefusedSteps:

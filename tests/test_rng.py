@@ -94,6 +94,9 @@ class ScalarSplitMix64:
             if u < limit:
                 return u % n
 
+    def below_vector(self, n: int, k: int) -> np.ndarray:
+        return np.array([self.below(n) for _ in range(k)], dtype=np.int64)
+
     def normal(self) -> float:
         if self._cached_normal is not None:
             z, self._cached_normal = self._cached_normal, None
@@ -144,6 +147,7 @@ _CALLS = st.one_of(
     st.tuples(st.just("next_u64")),
     st.tuples(st.just("uniform")),
     st.tuples(st.just("below"), st.integers(1, 2**64 - 1)),
+    st.tuples(st.just("below_vector"), st.integers(1, 2**63), st.integers(0, 21)),
     st.tuples(st.just("normal")),
     st.tuples(st.just("gaussian"), st.integers(0, 7), st.integers(0, 7)),
     st.tuples(st.just("uniform_vector"), st.integers(0, 21)),
@@ -195,10 +199,29 @@ def test_below_block_rejection_falls_back_to_scalar():
         if any(u >= limit for u in draws):
             positions.add(next(t for t, u in enumerate(draws) if u >= limit))
         got = fast._below_block(np.full(5, b, dtype=np.uint64))
-        assert got == [ref.below(b) for _ in range(5)]
+        assert got.dtype == np.uint64 and got.tolist() == [ref.below(b) for _ in range(5)]
         _same_stream(fast, ref)
         assert fast.next_u64() == ref.next_u64()
     assert {0, 2, 4} <= positions
+
+
+@pytest.mark.parametrize("k", [0, 1, 8192, 8193, 20000])
+@pytest.mark.parametrize("n", [1, 7, 2**62 + 1, 2**63])
+def test_below_vector_matches_scalar(n, k):
+    # below(2**62 + 1) keeps u < 3 * 2**62 + 3 and rejects a quarter of all
+    # draws, so each block of more than a few draws takes the scalar fallback
+    fast, ref = SplitMix64(13), ScalarSplitMix64(13)
+    for _ in range(2):
+        assert _bits(fast.below_vector(n, k)) == _bits(ref.below_vector(n, k))
+        _same_stream(fast, ref)
+
+
+def test_below_vector_rejects_a_bound_it_cannot_hold():
+    rng = SplitMix64(0)
+    for n in (0, 2**63 + 1):
+        with pytest.raises(ValueError):
+            rng.below_vector(n, 3)
+    assert rng.below_vector(0, 0).size == 0 and rng._state == 0
 
 
 def test_permutation_rejects_negative_size():

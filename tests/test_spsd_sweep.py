@@ -11,8 +11,10 @@ The family offers the sweep only inside its measured crossovers; the sweep
 must still be bitwise at every epoch size, so these runs open the bounds.
 """
 
+import dataclasses
 import importlib
 import itertools
+import sys
 
 import numpy as np
 import pytest
@@ -167,3 +169,49 @@ def test_random_epochs_repeat_entries(monkeypatch):
     outcome("plain", cfg)
     assert len(drawn) == 2 and all(len(set(d)) < len(d) == 50 for d in drawn)
 
+
+
+@pytest.mark.parametrize("selection", ["random", "without-replacement"])
+@pytest.mark.parametrize("eta, spikes", [(1e150, 0), (0.3, 4)])
+def test_a_probed_family_may_sweep_a_drawn_rule(monkeypatch, selection, eta, spikes):
+    """A retried epoch rewinds the generator to the draws of the steps up to
+    the abort, wherever the abort was raised, so a family with an epoch
+    probe may sweep under a drawn rule.  Here the probe fails an epoch that
+    leaves |y| >= 100, and the sweep aborts mid-epoch: at eta 1e150 on every
+    try, until the ladder gives up; at eta 0.3 while the first ``spikes``
+    gradients are scaled by 1e300, after which the run completes."""
+    build = make_weighted_ls
+
+    def spiked(*args):
+        spec, obj, ref = build(*args)
+        calls = []
+
+        def grad(y):
+            calls.append(y)
+            return obj.euclid_grad(y) * (1e300 if len(calls) <= spikes else 1.0)
+        return spec, dataclasses.replace(obj, euclid_grad=grad), ref
+
+    stops = []
+    real = chains.column_chain_sweep
+
+    def spy(*args):
+        sweep = real(*args)
+
+        def run(*a):
+            try:
+                return sweep(*a)
+            except OptimizeAbort as err:
+                stops.append(err.s)
+                raise
+        return run
+
+    monkeypatch.setattr(FactoredSpsd, "epoch_probe", lambda self, y: bool(np.abs(y).max() < 100.0))
+    monkeypatch.setattr(sys.modules[__name__], "make_weighted_ls", spiked)
+    monkeypatch.setattr(chains, "column_chain_sweep", spy)
+    cfg = OptimizerConfig(algorithm="rcdlin", epochs=8, inner=50, eta=eta,
+                          selection=selection, seed=5, trace="epoch")
+    fast, slow, _ = both_paths(monkeypatch, "plain", cfg)
+    assert fast == slow
+    assert (fast[0] == "abort") == (spikes == 0)
+    mid_epoch = [s for s in stops if 0 < s < 49]
+    assert len(mid_epoch) >= (30 if spikes == 0 else spikes - 1), stops
