@@ -78,6 +78,9 @@ def _merge_config(args) -> dict:
     if getattr(args, "config", None):
         with open(args.config, encoding="utf-8") as fh:
             file_vals = json.load(fh)
+        if not isinstance(file_vals, dict):
+            raise ValueError("config file must hold a JSON object, "
+                             f"got {type(file_vals).__name__}")
         unknown = set(file_vals) - set(_RUN_KEYS)
         if unknown:
             raise ValueError(f"unknown config keys: {sorted(unknown)}")

@@ -41,6 +41,17 @@ def step_overflow(t: float) -> str:
     return f"coordinate step overflow (|t|={abs(t):.3g})"
 
 
+class StepRefused(ArithmeticError):
+    """A coordinate step that cannot be taken, with one of the reasons above
+    as its message.  A kernel that takes many steps in one call gives ``s``,
+    the step it reached; the epoch loop reports the refusal as
+    ``OptimizeAbort(k, s, reason)``."""
+
+    def __init__(self, reason: str, s: int | None = None):
+        super().__init__(reason)
+        self.s = s
+
+
 # An exp, cosh or sinh step with |t| above this is refused (overflow is near 710).
 MAX_EXP_STEP = 500.0
 

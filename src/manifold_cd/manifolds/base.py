@@ -34,7 +34,8 @@ both promises here, once; a family implements only ``_retract(out, l, t)``,
 which updates ``out`` in place for t != 0 and returns ``clamped``.  A step that
 cannot be taken raises: ``_retract`` an ``OverflowError`` before any write,
 ``full_retract`` and ``riemannian_gradient`` an ArithmeticError or LinAlgError;
-the epoch loop reports it as ``OptimizeAbort`` with its epoch and step.
+the epoch loop reports it as ``optimize.OptimizeAbort`` with its epoch and
+step.  No family raises the engine's exception or imports from the engine.
 
 Engine hooks.  The epoch loop names no family: the hooks below bring what one
 family needs of it, and their defaults keep every other family out.
@@ -44,8 +45,9 @@ family needs of it, and their defaults keep every other family out.
 no step is recorded: the pivot-row sweep of Stiefel and Grassmann under
 cyclic selection, and the column-chain sweep of the factored SPSD family
 under every drawn rule, for epochs whose column chains are short.  A sweep
-is an epoch kernel: it takes the positions the loop drew and returns what a
-step returns, for the loop to charge.
+is an epoch kernel, ``sweep(x, d, pos, eta)``, a function of its inputs only:
+it takes the positions the loop drew and returns what a step returns, for the
+loop to charge, and it refuses a step as ``flops.StepRefused`` naming the step.
 """
 
 from __future__ import annotations
@@ -111,17 +113,6 @@ class ManifoldDescriptor:
                 raise ValueError("marginals must sum to one")
             object.__setattr__(self, "mu", mu)
             object.__setattr__(self, "nu", nu)
-
-
-class OptimizeAbort(RuntimeError):
-    """Raised when a run cannot go on (a non-finite objective or derivative, a
-    refused retraction); carries the step (k, s) and the reason."""
-
-    def __init__(self, k: int, s: int, reason: str):
-        super().__init__(f"{reason} at epoch {k}, inner step {s}")
-        self.k = k
-        self.s = s
-        self.reason = reason
 
 
 class Manifold(ABC):
@@ -236,7 +227,7 @@ class Manifold(ABC):
         raise ValueError("time-cyclic selection is only valid on the hyperbolic family")
 
     def anchored_sweep(self, labels: list, n_inner: int, selection: str):
-        """``sweep(x, d, pos, eta, k) -> (x, update flops, carrier upkeep
+        """``sweep(x, d, pos, eta) -> (x, update flops, carrier upkeep
         flops, clamped steps)``: an anchored epoch of ``n_inner`` steps in
         one call, bitwise the steps ``coordinate_step`` takes, or None to
         step label by label (also where a sweep would be the slower, which
@@ -245,8 +236,9 @@ class Manifold(ABC):
         ``pos`` is the array of ``n_inner`` label positions that the epoch
         loop drew (``optimize.epoch_positions``) and the step path would
         index too; the loop charges what the sweep returns, so a sweep never
-        sees the trace or the generator.  A refused step raises
-        ``OptimizeAbort`` at its own (k, s)."""
+        sees the trace, the generator or the epoch.  A refused step raises
+        ``flops.StepRefused`` with ``coordinate_step``'s reason and the step s
+        it reached, which the loop reports at (k, s)."""
         return None
 
     # epoch_probe(x) False: the epoch is retried at half the stepsize

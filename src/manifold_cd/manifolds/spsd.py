@@ -43,11 +43,11 @@ import math
 
 import numpy as np
 
-from ..flops import NONFINITE_DERIVATIVE, ZERO_DERIVATIVE_SKIP, step_overflow
+from ..flops import NONFINITE_DERIVATIVE, ZERO_DERIVATIVE_SKIP, StepRefused, step_overflow
 from ..indices import Entry, Pair
 from ..linalg import sym_eig
 from ..rng import SplitMix64
-from .base import Manifold, OptimizeAbort
+from .base import Manifold
 
 # When the column-chain sweep beats the label-by-label path (module docstring)
 SWEEP_MIN_STEPS = 32
@@ -140,8 +140,8 @@ def column_chain_sweep(man: FactoredSpsd, labels: list):
     epoch loop drew.  A step whose t underflows to zero writes nothing to y
     (a -0.0 keeps its sign) but still feeds its chain, and a skipped step
     touches nothing.
-    Only the sweep knows the step (k, s) of a refusal, so it raises
-    ``OptimizeAbort`` with ``coordinate_step``'s reasons."""
+    A refused step raises ``StepRefused`` with ``coordinate_step``'s reason
+    and the step s it reached."""
     rows = np.array([l.i for l in labels], dtype=np.intp)
     cols = np.array([l.j for l in labels], dtype=np.intp)
     dflops, uflops = man.flop_parts(labels[0])
@@ -149,7 +149,7 @@ def column_chain_sweep(man: FactoredSpsd, labels: list):
     scale = man.step_scale
     p = man.p
 
-    def sweep(y, d, pos, eta, k):
+    def sweep(y, d, pos, eta):
         r, gs = d
         n_inner = len(pos)
         ii, jj = rows[pos], cols[pos]
@@ -173,11 +173,11 @@ def column_chain_sweep(man: FactoredSpsd, labels: list):
             for c, qu in chain:
                 theta += c * near[h + qu]
             if not math.isfinite(theta):
-                raise OptimizeAbort(k, s, NONFINITE_DERIVATIVE)
+                raise StepRefused(NONFINITE_DERIVATIVE, s)
             if abs(theta) >= ZERO_DERIVATIVE_SKIP:
                 t = t_per_theta * theta
                 if not math.isfinite(t):
-                    raise OptimizeAbort(k, s, step_overflow(t))
+                    raise StepRefused(step_overflow(t), s)
                 chain.append((2.0 * t, q))
                 if t != 0.0:
                     moved.append(s)

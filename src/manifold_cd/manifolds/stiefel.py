@@ -21,11 +21,11 @@ import math
 
 import numpy as np
 
-from ..flops import NONFINITE_DERIVATIVE, ZERO_DERIVATIVE_SKIP, step_overflow
+from ..flops import NONFINITE_DERIVATIVE, ZERO_DERIVATIVE_SKIP, StepRefused, step_overflow
 from ..indices import Column, CoordinateIndex, Pair
 from ..linalg import apply_rotation, thin_qr
 from ..rng import SplitMix64
-from .base import Manifold, OptimizeAbort
+from .base import Manifold
 
 
 def _sym(a: np.ndarray) -> np.ndarray:
@@ -111,16 +111,16 @@ def pivot_row_sweep(man: Manifold, labels: list):
     partners' halves c*x[j] - s*x[i] (x[i] as it was before that step) are
     written as one batch when the run ends: the same products and sums in the
     same order, and ``np.vecdot`` of contiguous rows rounds as the per-row
-    ``ndarray.dot`` does (``@`` does not).  Only the sweep knows the step (k, s)
-    of a non-finite derivative or angle inside a run, so it raises
-    ``OptimizeAbort``.  The anchored carrier needs no upkeep."""
+    ``ndarray.dot`` does (``@`` does not).  A non-finite derivative or angle
+    inside a run raises ``StepRefused`` with ``coordinate_step``'s reason and
+    the step s it reached.  The anchored carrier needs no upkeep."""
     # opens[m]: label m does not continue label m-1's pivot row
     opens = np.array([True] + [l.i != prev.i or l.j != prev.j + 1
                                for prev, l in zip(labels, labels[1:])])
     dflops, uflops = man.flop_parts(labels[0])
     scale = man.step_scale
 
-    def sweep(x, d, pos, eta, k):
+    def sweep(x, d, pos, eta):
         breaks = opens[pos]
         breaks[1:] |= pos[1:] != pos[:-1] + 1
         breaks[0] = True
@@ -139,12 +139,12 @@ def pivot_row_sweep(man: Manifold, labels: list):
                                         d[j0:j1], partners):
                 theta = aj - float(dj.dot(xi))
                 if not math.isfinite(theta):
-                    raise OptimizeAbort(k, s, NONFINITE_DERIVATIVE)
+                    raise StepRefused(NONFINITE_DERIVATIVE, s)
                 if abs(theta) >= ZERO_DERIVATIVE_SKIP:
                     moving += 1
                     t = t_per_theta * theta
                     if not math.isfinite(t):
-                        raise OptimizeAbort(k, s, step_overflow(t))
+                        raise StepRefused(step_overflow(t), s)
                     if t != 0.0:
                         c, sn = math.cos(t), math.sin(t)
                         moved.append(j)

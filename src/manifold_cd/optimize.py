@@ -14,8 +14,10 @@ Every optimizer, and the Lorentz trainer in ``embeddings``, is one epoch loop
 The loop owns the stepsize schedule, the log cadences, the records, the
 finite checks and the BW halving ladder, so every optimizer honours the same
 configuration.  A run completes its K epochs or ends in OptimizeAbort(k, s,
-reason): a step, an oracle or an epoch-start log only raises, and the loop
-alone locates it.  With S = 1 and randomized selection rcd and rcdlin are
+reason): a step, a sweep, an oracle or an epoch-start log only raises, and
+the loop alone turns that into the abort.  A sweep that refuses a step names
+the step s it reached (``flops.StepRefused``); the loop locates everything
+else at its own step.  With S = 1 and randomized selection rcd and rcdlin are
 the same algorithm, and for constant-gradient objectives they coincide for
 any S, bitwise.  Only ``run_tsd`` names a family; the loop meets the rest
 through the ``Manifold`` hooks.
@@ -26,7 +28,7 @@ Selection rules, one array of label positions per epoch
 permutation per |I| block), and time-cyclic (hyperbolic only: the pairs
 (0,1), (0,2), ..., (0,n-1)).  The loop draws the array after the epoch-start
 logs; the step path indexes the labels with it, and a family's sweep,
-``sweep(x, d, pos, eta, k)``, takes it whole.  A BW epoch that aborts at step
+``sweep(x, d, pos, eta)``, takes it whole.  A BW epoch that aborts at step
 s and is retried rewinds the generator to the epoch start and redraws s + 1
 positions, so it leaves the generator where drawing step by step would.
 ``inner`` steps over an empty label set are a ValueError; without ``inner``
@@ -49,6 +51,7 @@ emit byte-identical traces.
 from __future__ import annotations
 
 import math
+import operator
 import time
 from copy import copy
 from dataclasses import dataclass, field, replace
@@ -56,10 +59,9 @@ from typing import Callable
 
 import numpy as np
 
-from .flops import NONFINITE_DERIVATIVE, ZERO_DERIVATIVE_SKIP, step_overflow
+from .flops import NONFINITE_DERIVATIVE, ZERO_DERIVATIVE_SKIP, StepRefused, step_overflow
 from .indices import Pair
 from .manifolds import Manifold
-from .manifolds.base import OptimizeAbort
 from .manifolds.stiefel import tsd_column_step, tsd_enumerate, tsd_flop_parts, tsd_pair_step
 from .rng import SplitMix64
 
@@ -67,6 +69,17 @@ ALGORITHMS = ("rcd", "rcdlin", "rgd", "tsd")
 SELECTIONS = ("cyclic", "random", "without-replacement", "time-cyclic")
 TRACES = ("step", "epoch", "none")
 PROBE_HALVINGS = 30  # stepsize halvings before a failing epoch probe aborts
+
+
+class OptimizeAbort(RuntimeError):
+    """Raised when a run cannot go on (a non-finite objective or derivative, a
+    refused retraction); carries the step (k, s) and the reason."""
+
+    def __init__(self, k: int, s: int, reason: str):
+        super().__init__(f"{reason} at epoch {k}, inner step {s}")
+        self.k = k
+        self.s = s
+        self.reason = reason
 
 
 @dataclass
@@ -99,6 +112,11 @@ class OptimizerConfig:
     trace: str = "step"        # "step", "epoch", or "none"
 
     def __post_init__(self):
+        # counts are integers: 2.5 epochs is a TypeError, np.int64(3) is 3
+        for name in ("epochs", "seed", "grad_log_every", "feas_log_every"):
+            setattr(self, name, operator.index(getattr(self, name)))
+        if self.inner is not None:
+            self.inner = operator.index(self.inner)
         if self.algorithm not in ALGORITHMS:
             raise ValueError(f"unknown algorithm {self.algorithm!r}")
         if self.selection not in SELECTIONS:
@@ -195,13 +213,13 @@ def coordinate_step(man: Manifold, anchored_steps: int = 0):
     def step(x, d, l, eta, s):
         theta = man.coordinate_derivative_from_carrier(x, d, l)
         if not math.isfinite(theta):
-            raise FloatingPointError(NONFINITE_DERIVATIVE)
+            raise StepRefused(NONFINITE_DERIVATIVE)
         dflops, uflops = man.flop_parts(l)
         if abs(theta) < ZERO_DERIVATIVE_SKIP:
             return x, dflops, 0, 0
         t = -scale * eta * theta
         if not math.isfinite(t):
-            raise OverflowError(step_overflow(t))
+            raise StepRefused(step_overflow(t))
         x, clamped = man.coordinate_retract(x, l, t, inplace=True)
         # no-op for families whose carrier ignores the point
         upkeep = man.update_carrier(d, x, l, t) if s < last else 0
@@ -265,11 +283,12 @@ def run_epochs(man: Manifold, obj: Objective, x0: np.ndarray, cfg: OptimizerConf
     ``step(x, d, l, eta, s)`` takes step s, at label ``l``; ``d`` is the
     oracle's output, the derivative carrier with ``carrier`` set and the
     Euclidean gradient otherwise.  The oracle runs before every step when
-    ``fresh_oracle`` is set, else once per epoch.  ``sweep(x, d, pos, eta,
-    k)``, given only with the oracle once per epoch, no per-step records and
+    ``fresh_oracle`` is set, else once per epoch.  ``sweep(x, d, pos, eta)``,
+    given only with the oracle once per epoch, no per-step records and
     a step per epoch, takes all the epoch's steps in one call.  Both index
     the epoch's drawn positions ``pos``, and both return ``(x, update_flops,
-    upkeep_flops, clamped)`` for the loop to charge.
+    upkeep_flops, clamped)`` for the loop to charge; a sweep that refuses a
+    step raises ``StepRefused`` with the step s it reached.
 
     Every record's objective is checked to be finite; a run that keeps no
     record (``trace="none"``) checks it once, at the last step, (K-1, S-1).
@@ -320,7 +339,8 @@ def run_epochs(man: Manifold, obj: Objective, x0: np.ndarray, cfg: OptimizerConf
             epoch_grad = epoch_feas = pos = None
             s = 0
             try:
-                # the one converter: a refusal is located at the step s reached
+                # the one converter: a refusal is located at the step s reached,
+                # or at the step a sweep names
                 try:
                     if cfg.grad_log_every and k % cfg.grad_log_every == 0:
                         epoch_grad = man.gradient_norm(x, obj.euclid_grad(x))
@@ -329,7 +349,7 @@ def run_epochs(man: Manifold, obj: Objective, x0: np.ndarray, cfg: OptimizerConf
                         epoch_feas = man.feasibility_residual(x)
                     pos = epoch_positions(cfg.selection, len(labels), n_inner, rng)
                     if sweep is not None:
-                        x = charge(*sweep(x, oracle(x), pos, eta_k, k))
+                        x = charge(*sweep(x, oracle(x), pos, eta_k))
                     else:
                         for s, l in enumerate(map(labels.__getitem__, pos.tolist())):
                             if fresh_oracle or s == 0:
@@ -340,6 +360,8 @@ def run_epochs(man: Manifold, obj: Objective, x0: np.ndarray, cfg: OptimizerConf
                     if cfg.trace == "epoch" and n_inner:
                         record(x, n_inner - 1)
                 except (ArithmeticError, np.linalg.LinAlgError) as exc:
+                    if isinstance(exc, StepRefused) and exc.s is not None:
+                        s = exc.s
                     raise OptimizeAbort(k, s, str(exc)) from exc
                 probe_failed = probe is not None and not probe(x)
             except OptimizeAbort as abort:

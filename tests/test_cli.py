@@ -346,6 +346,16 @@ def test_config_value_of_wrong_type_rejected(capsys, tmp_path, file_vals):
     assert _one_error_line(capsys)
 
 
+@pytest.mark.parametrize("text, kind", [('"eta"', "str"), ('["eta"]', "list"),
+                                        ("3", "int")])
+def test_config_file_that_is_not_an_object_rejected(capsys, tmp_path, text, kind):
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(text)
+    assert _run_cli(["run", "--config", str(cfg_path)]) == 1
+    assert capsys.readouterr().err == (
+        f"error: config file must hold a JSON object, got {kind}\n")
+
+
 def test_config_accepts_int_for_float_and_null_inner(tmp_path):
     cfg_path = tmp_path / "cfg.json"
     cfg_path.write_text(json.dumps({"n": 6, "p": 2, "epochs": 2, "eta": 1, "inner": None}))

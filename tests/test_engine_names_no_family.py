@@ -5,7 +5,12 @@ the ``Manifold`` hooks (``time_cyclic_basis``, ``anchored_sweep``,
 Read from the syntax tree of ``optimize.py``: outside ``run_tsd``, whose
 column step lies outside the ``Manifold`` contract, no code reads a
 ``.family`` attribute or holds a string literal that is a family name (or
-``"family"``, as ``getattr`` would take it)."""
+``"family"``, as ``getattr`` would take it).
+
+And conversely no family names the engine: no module under ``manifolds/``
+imports from ``optimize`` or names ``OptimizeAbort`` in code, so a kernel
+refuses a step with ``flops.StepRefused`` and the epoch loop alone locates
+it."""
 
 import ast
 from pathlib import Path
@@ -15,7 +20,9 @@ import pytest
 from manifold_cd.manifolds.base import FAMILIES
 
 NAMES = (*FAMILIES, "family")
-ENGINE = Path(__file__).resolve().parent.parent / "src" / "manifold_cd" / "optimize.py"
+PACKAGE = Path(__file__).resolve().parent.parent / "src" / "manifold_cd"
+ENGINE = PACKAGE / "optimize.py"
+FAMILY_MODULES = sorted((PACKAGE / "manifolds").glob("*.py"))
 
 
 def family_names(tree, exempt: str | None = "run_tsd") -> list[str]:
@@ -56,3 +63,49 @@ def test_the_engine_names_no_family():
     tree = ast.parse(ENGINE.read_text(encoding="utf-8"), filename=str(ENGINE))
     assert family_names(tree) == [], (
         "optimize.py names a family: give the family a Manifold hook instead")
+
+
+def engine_names(tree) -> list[str]:
+    """Every import from the ``optimize`` module, and every ``OptimizeAbort``
+    imported, defined or read in code (a docstring is a string constant, so
+    it does not count)."""
+    names = []
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            module = getattr(node, "module", None) or ""
+            words = {w for a in node.names for w in f"{module}.{a.name}".split(".")}
+            hit = bool(words & {"optimize", "OptimizeAbort"})
+        else:
+            name = (node.name if isinstance(node, ast.ClassDef)
+                    else getattr(node, "id", getattr(node, "attr", None)))
+            hit = name == "OptimizeAbort"
+        if hit:
+            names.append(f"line {node.lineno}: {ast.unparse(node).splitlines()[0]}")
+    return names
+
+
+@pytest.mark.parametrize("snippet, flagged", [
+    ("from ..optimize import OptimizeAbort", True),
+    ("from manifold_cd.optimize import run_epochs", True),
+    ("from .. import optimize", True),
+    ("import manifold_cd.optimize as engine", True),
+    ("from .base import OptimizeAbort", True),
+    ("raise OptimizeAbort(k, s, reason)", True),
+    ("raise engine.OptimizeAbort(k, s, reason)", True),
+    ("class OptimizeAbort(RuntimeError): pass", True),
+    ("from ..flops import StepRefused\nraise StepRefused(reason, s)", False),
+    ('"""the loop reports it as ``OptimizeAbort``"""', False),
+    ("optimize_flag = True", False),
+])
+def test_the_converse_guard_reads_the_name(snippet, flagged):
+    assert bool(engine_names(ast.parse(snippet))) == flagged
+
+
+def test_no_family_names_the_engine():
+    assert FAMILY_MODULES, "no family module found"
+    found = {path.name: engine_names(ast.parse(path.read_text(encoding="utf-8"),
+                                               filename=str(path)))
+             for path in FAMILY_MODULES}
+    assert {name: hits for name, hits in found.items() if hits} == {}, (
+        "a family names the engine: raise flops.StepRefused and let the epoch "
+        "loop locate it")

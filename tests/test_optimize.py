@@ -565,6 +565,20 @@ class TestConfigValidation:
         with pytest.raises(ValueError):
             OptimizerConfig(**{field: value})
 
+    @pytest.mark.parametrize("field", ["epochs", "inner", "seed", "grad_log_every",
+                                       "feas_log_every"])
+    @pytest.mark.parametrize("value, accepted", [(2.5, False), (np.int64(3), True)],
+                             ids=["fraction", "numpy-int"])
+    def test_counts_are_integers(self, field, value, accepted):
+        # a fractional count once ran a rounded-up number of epochs, failed at
+        # the first step or logged at a stretched cadence
+        if not accepted:
+            with pytest.raises(TypeError):
+                OptimizerConfig(**{field: value})
+            return
+        got = getattr(OptimizerConfig(**{field: value}), field)
+        assert got == 3 and type(got) is int
+
 
 @pytest.mark.parametrize("algo, runner", [("rcd", run_rcd), ("rcdlin", run_rcdlin),
                                           ("rgd", run_rgd), ("tsd", run_tsd)])

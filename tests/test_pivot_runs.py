@@ -6,7 +6,8 @@ An ``rcdlin`` run with cyclic selection takes the run path unless it records
 every step; the same config at ``trace="step"`` takes the sequential path.
 The two must agree bitwise: the point, the oracle-call count, the three flop
 totals, the clamped steps and every epoch-end objective value, and an abort
-must name the same (k, s).
+must name the same (k, s), the sweep's as a ``StepRefused`` cause that
+names the step.
 """
 
 import importlib
@@ -16,6 +17,7 @@ import numpy as np
 import pytest
 
 from manifold_cd import ManifoldDescriptor, make_manifold
+from manifold_cd.flops import StepRefused
 from manifold_cd.indices import Pair
 from manifold_cd.manifolds.stiefel import Stiefel
 from manifold_cd.optimize import Objective, OptimizeAbort, OptimizerConfig, optimize as run
@@ -66,6 +68,11 @@ def _assert_bitwise(fast, slow):
     ends = {r.k: r for r in ts.records}
     assert [(r.k, r.s, r.f, r.flops) for r in tf.records] == \
         [(r.k, r.s, r.f, r.flops) for r in ends.values()]
+
+
+def _assert_sweep_named_the_step(cause, s):
+    """The sweep's abort comes from a ``StepRefused`` that names its step s."""
+    assert isinstance(cause, StepRefused) and cause.s == s
 
 
 class TestRuns:
@@ -131,7 +138,7 @@ class TestParity:
             return g
 
         obj.euclid_grad = nan_later
-        where = []
+        where, causes = [], []
         for trace in ("epoch", "step"):
             calls["n"] = 0
             cfg = OptimizerConfig(algorithm="rcdlin", selection="cyclic", epochs=3,
@@ -139,8 +146,10 @@ class TestParity:
             with pytest.raises(OptimizeAbort, match="non-finite coordinate derivative") as err:
                 run(man, obj, x0, cfg)
             where.append((err.value.k, err.value.s))
+            causes.append(err.value.__cause__)
         assert where[0] == where[1]
         assert where[0][0] == 1
+        _assert_sweep_named_the_step(causes[0], where[0][1])
 
     def test_infinite_angle_aborts_at_same_step(self):
         # a far target's finite derivative times eta 1e308 overflows the
@@ -149,15 +158,17 @@ class TestParity:
         a = 50.0 * SplitMix64(1).gaussian(8, 2)
         obj = Objective(value=lambda x: 0.5 * float(np.sum((x - a) ** 2)),
                         euclid_grad=lambda x: x - a)
-        ends = []
+        ends, causes = [], []
         for trace in ("epoch", "step"):
             cfg = OptimizerConfig(algorithm="rcdlin", selection="cyclic", epochs=3,
                                   eta=1e308, trace=trace)
             with pytest.raises(OptimizeAbort) as err:
                 run(man, obj, x0, cfg)
             ends.append((err.value.k, err.value.s, err.value.reason))
+            causes.append(err.value.__cause__)
         assert ends[0] == ends[1]
         assert ends[0][2] == "coordinate step overflow (|t|=inf)"
+        _assert_sweep_named_the_step(causes[0], ends[0][1])
 
 
 class TestSequentialPathKept:

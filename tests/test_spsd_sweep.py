@@ -23,6 +23,7 @@ from manifold_cd import ManifoldDescriptor
 from manifold_cd.bench import run_wls_rcdlin_structured
 from manifold_cd.manifolds import make_manifold
 from manifold_cd.manifolds.spsd import FactoredSpsd
+from manifold_cd.flops import StepRefused
 from manifold_cd.optimize import Objective, OptimizeAbort, OptimizerConfig, optimize
 from manifold_cd.problems import initial_point, make_weighted_ls
 from manifold_cd.rng import SplitMix64
@@ -37,9 +38,10 @@ def _bits(v):
     return v.hex() if isinstance(v, float) else v
 
 
-def outcome(runner, cfg):
+def outcome(runner, cfg, causes=None):
     """Everything a run reports, with floats as bit patterns (so -0.0 and
-    0.0 differ), or the abort's (k, s, reason)."""
+    0.0 differ), or the abort's (k, s, reason); an abort's cause is appended
+    to ``causes``."""
     spec, obj, _ = make_weighted_ls(N, P, 0.7, 7)
     y0 = initial_point(spec)
     try:
@@ -48,26 +50,29 @@ def outcome(runner, cfg):
         else:
             y, tr = optimize(make_manifold(spec.descriptor), obj, y0, cfg)
     except OptimizeAbort as err:
+        if causes is not None:
+            causes.append(err.__cause__)
         return ("abort", err.k, err.s, err.reason)
     records = [tuple(_bits(getattr(r, f)) for f in r.__slots__) for r in tr.records]
     return (y.tobytes(), records, _bits(tr.final_f()), tr.oracle_calls, tr.oracle_flops,
             tr.update_flops, tr.instrumentation_flops, tr.clamped_steps, tr.eta_used)
 
 
-def both_paths(monkeypatch, runner, cfg):
-    """(sweep outcome, label-by-label outcome, sweep calls)."""
+def both_paths(monkeypatch, runner, cfg, causes=None):
+    """(sweep outcome, label-by-label outcome, sweep calls); the sweep's
+    abort cause, if any, is appended to ``causes``."""
     calls = []
     real = chains.column_chain_sweep
 
     def spy(*args):
         sweep = real(*args)
-        return lambda *a: calls.append(a[-1]) or sweep(*a)
+        return lambda *a: calls.append(len(a[2])) or sweep(*a)
 
     with monkeypatch.context() as m:
         m.setattr(chains, "column_chain_sweep", spy)
         m.setattr(chains, "SWEEP_MIN_STEPS", 1)
         m.setattr(chains, "SWEEP_MAX_CHAIN", N * P)
-        fast = outcome(runner, cfg)
+        fast = outcome(runner, cfg, causes)
     with monkeypatch.context() as m:
         m.setattr(FactoredSpsd, "anchored_sweep", lambda self, *a: None)
         slow = outcome(runner, cfg)
@@ -110,9 +115,14 @@ def test_aborts_are_covered(monkeypatch, eta, where):
     them."""
     cfg = OptimizerConfig(algorithm="rcdlin", epochs=8, inner=50, eta=eta,
                           selection="random", seed=5, trace="epoch")
-    fast, slow, _ = both_paths(monkeypatch, "plain", cfg)
+    causes = []
+    fast, slow, _ = both_paths(monkeypatch, "plain", cfg, causes)
     assert fast == slow
     assert fast == ("abort", *where)
+    # the sweep names the step it reached; the loop adds the epoch
+    [cause] = causes
+    assert isinstance(cause, StepRefused) and cause.s == where[1]
+    assert str(cause) == where[2]
 
 
 @pytest.mark.parametrize("n_inner, offered", [(31, False), (32, True), (96, True),
@@ -200,7 +210,7 @@ def test_a_probed_family_may_sweep_a_drawn_rule(monkeypatch, selection, eta, spi
         def run(*a):
             try:
                 return sweep(*a)
-            except OptimizeAbort as err:
+            except StepRefused as err:
                 stops.append(err.s)
                 raise
         return run
