@@ -155,7 +155,8 @@ def grid_search(problem: str, n: int, p: int, seed: int, cfg: OptimizerConfig,
     """Run ``cfg`` at every stepsize in the grid, traced per epoch, on one
     build of the problem and return (best eta, [(eta, final f)]).
 
-    A run that aborts scores +inf.
+    A run that aborts scores +inf and never wins; a grid in which every run
+    aborts has no winner and raises RuntimeError.
     """
     solve = _setup(problem, n, p, seed, **flags)[-1]
 
@@ -167,6 +168,8 @@ def grid_search(problem: str, n: int, p: int, seed: int, cfg: OptimizerConfig,
 
     scored = [(eta, one(eta)) for eta in etas]
     best_f = min(f for _, f in scored)
+    if best_f == math.inf:
+        raise RuntimeError("every stepsize in the grid diverged")
     # among statistically tied winners prefer the smallest stepsize (farthest
     # from the divergence cliff)
     threshold = best_f + 1e-12 * max(1.0, abs(best_f))

@@ -22,13 +22,16 @@ gather and one batched Minkowski product for every (edge, candidate) term,
 one ordered np.add.at scatter for the gradient.  Its transcendentals
 (acosh, exp, log) and softmax sums stay scalar Python on purpose: numpy's
 versions round differently, and the loss and gradient are bitwise equal to
-the per-pair loop they replace, so traces do not change.
+the per-pair loop they replace, so traces do not change.  Both add each
+edge's softmax terms left to right (``_softmax_sums``), never with the
+builtin ``sum``, which compensates on Python >= 3.12.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from itertools import accumulate
 
 import numpy as np
 
@@ -93,14 +96,15 @@ def initial_embedding(prob: HierarchyProblem) -> np.ndarray:
 
 
 def _pair_table(prob: HierarchyProblem):
-    """(us, cs, sizes): the u and candidate index of every pair term in loss
-    order (each edge (u, v): v, then Neg(u)) and each edge's candidate count.
-    Built on first use and cached on the problem."""
+    """(us, cs, spans): the u and candidate index of every pair term in loss
+    order (each edge (u, v): v, then Neg(u)) and each edge's (first, end)
+    term.  Built on first use and cached on the problem."""
     if prob.pair_table is None:
         sizes = [1 + len(prob.negatives[u]) for u, _ in prob.edges]
         us = [u for (u, _), k in zip(prob.edges, sizes) for _ in range(k)]
         cs = [c for u, v in prob.edges for c in [v] + prob.negatives[u]]
-        prob.pair_table = (np.array(us), np.array(cs), sizes)
+        ends = list(accumulate(sizes))
+        prob.pair_table = (np.array(us), np.array(cs), list(zip([0] + ends, ends)))
     return prob.pair_table
 
 
@@ -121,18 +125,24 @@ def _distances(z: np.ndarray) -> list[float]:
     return [0.0 if zi < 1.0 + 1e-12 else math.acosh(zi) for zi in z.tolist()]
 
 
+def _softmax_sums(weights: list[float], spans: list) -> list[float]:
+    """Each edge's softmax denominator, its weights added left to right: the
+    builtin sum may add floats with compensation (it does on Python >= 3.12)."""
+    sums = []
+    for lo, hi in spans:
+        acc = weights[lo]
+        for wt in weights[lo + 1:hi]:
+            acc += wt
+        sums.append(acc)
+    return sums
+
+
 def loss(prob: HierarchyProblem, x: np.ndarray) -> float:
-    us, cs, sizes = _pair_table(prob)
+    us, cs, spans = _pair_table(prob)
     dist = _distances(_pair_products(x, us, cs)[0])
-    e = [math.exp(-d) for d in dist]
     total = 0.0
-    lo = 0
-    for k in sizes:
-        acc = e[lo]
-        for i in range(lo + 1, lo + k):
-            acc += e[i]
-        total += dist[lo] + math.log(acc)
-        lo += k
+    for (lo, _), denom in zip(spans, _softmax_sums([math.exp(-d) for d in dist], spans)):
+        total += dist[lo] + math.log(denom)
     return total
 
 
@@ -140,16 +150,13 @@ def euclid_grad(prob: HierarchyProblem, x: np.ndarray) -> np.ndarray:
     """Ambient gradient of the loss in every word simultaneously.  Each pair
     term past the guard adds weight * -J x_c / sqrt(z^2 - 1) to word u and the
     mirrored term to the candidate, scattered in pair order."""
-    us, cs, sizes = _pair_table(prob)
+    us, cs, spans = _pair_table(prob)
     z, xu, xc = _pair_products(x, us, cs)
     weights = [math.exp(-d) for d in _distances(z)]
     coef = []
-    lo = 0
-    for k in sizes:
-        denom = sum(weights[lo:lo + k])
+    for (lo, hi), denom in zip(spans, _softmax_sums(weights, spans)):
         coef.append(1.0 - weights[lo] / denom)
-        coef += [-wt / denom for wt in weights[lo + 1:lo + k]]
-        lo += k
+        coef += [-wt / denom for wt in weights[lo + 1:hi]]
     keep = ~(z < 1.0 + GRAD_GUARD)
     z, w = z[keep], np.array(coef)[keep]
     ju, jc = xu[:, keep], xc[:, keep]  # J x: the time row negated

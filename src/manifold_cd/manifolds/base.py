@@ -107,6 +107,8 @@ class ManifoldDescriptor:
             nu = np.full(n, 1.0 / n) if self.nu is None else np.asarray(self.nu, dtype=float)
             if mu.shape != (m,) or nu.shape != (n,):
                 raise ValueError("marginal lengths must match dims")
+            if not (np.isfinite(mu).all() and np.isfinite(nu).all()):
+                raise ValueError("marginals must be finite")
             if np.any(mu <= 0.0) or np.any(nu <= 0.0):
                 raise ValueError("marginals must be strictly positive")
             if abs(mu.sum() - 1.0) > 1e-12 or abs(nu.sum() - 1.0) > 1e-12:

@@ -14,13 +14,14 @@ Every optimizer, and the Lorentz trainer in ``embeddings``, is one epoch loop
 The loop owns the stepsize schedule, the log cadences, the records, the
 finite checks and the BW halving ladder, so every optimizer honours the same
 configuration.  A run completes its K epochs or ends in OptimizeAbort(k, s,
-reason): a step, a sweep, an oracle or an epoch-start log only raises, and
-the loop alone turns that into the abort.  A sweep that refuses a step names
-the step s it reached (``flops.StepRefused``); the loop locates everything
-else at its own step.  With S = 1 and randomized selection rcd and rcdlin are
-the same algorithm, and for constant-gradient objectives they coincide for
-any S, bitwise.  Only ``run_tsd`` names a family; the loop meets the rest
-through the ``Manifold`` hooks.
+reason): a step, a sweep, an oracle, an epoch-start log or a record only
+raises, and the loop alone turns that into the abort.  A sweep that refuses
+a step names the step s it reached (``flops.StepRefused``); the loop locates
+everything else at its own step, an epoch-end record at S-1.  With S = 1 and
+randomized selection rcd and rcdlin are the same algorithm, and for
+constant-gradient objectives they coincide for any S, bitwise.  Only
+``run_tsd`` names a family; the loop meets the rest through the ``Manifold``
+hooks.
 
 Selection rules, one array of label positions per epoch
 (``epoch_positions``): cyclic (position s mod |I| in enumeration order), random
@@ -69,6 +70,7 @@ ALGORITHMS = ("rcd", "rcdlin", "rgd", "tsd")
 SELECTIONS = ("cyclic", "random", "without-replacement", "time-cyclic")
 TRACES = ("step", "epoch", "none")
 PROBE_HALVINGS = 30  # stepsize halvings before a failing epoch probe aborts
+NONFINITE_OBJECTIVE = "non-finite objective"  # why a record or the final check aborts
 
 
 class OptimizeAbort(RuntimeError):
@@ -179,12 +181,6 @@ def epoch_positions(rule: str, m: int, n_inner: int, rng: SplitMix64) -> np.ndar
     return np.arange(n_inner) % m
 
 
-def _check_finite(v: float, k: int, s: int, what: str) -> float:
-    if not math.isfinite(v):
-        raise OptimizeAbort(k, s, f"non-finite {what}")
-    return v
-
-
 def coordinate_basis(man: Manifold, selection: str, labels=None) -> list:
     """The labels an epoch sweeps: ``labels`` (by default the family's
     coordinate basis), or under time-cyclic selection the family's
@@ -288,10 +284,11 @@ def run_epochs(man: Manifold, obj: Objective, x0: np.ndarray, cfg: OptimizerConf
     a step per epoch, takes all the epoch's steps in one call.  Both index
     the epoch's drawn positions ``pos``, and both return ``(x, update_flops,
     upkeep_flops, clamped)`` for the loop to charge; a sweep that refuses a
-    step raises ``StepRefused`` with the step s it reached.
-
-    Every record's objective is checked to be finite; a run that keeps no
-    record (``trace="none"``) checks it once, at the last step, (K-1, S-1).
+    step raises ``StepRefused`` with the step s it reached, and a record whose
+    objective is not finite an ArithmeticError.  One ``except`` turns each
+    into OptimizeAbort(k, s, reason), or into a failed ``epoch_probe``.  A run
+    that keeps no record (``trace="none"``) checks its objective once, at the
+    last step, (K-1, S-1).
     """
     man.check_shape(x0)
     n_inner = _inner_steps(cfg, labels)
@@ -318,7 +315,9 @@ def run_epochs(man: Manifold, obj: Objective, x0: np.ndarray, cfg: OptimizerConf
         return x
 
     def record(x, s):
-        fval = _check_finite(obj.value(x), k, s, "objective")
+        fval = obj.value(x)
+        if not math.isfinite(fval):
+            raise ArithmeticError(NONFINITE_OBJECTIVE)
         wall = time.monotonic_ns() - t0 if cfg.log_wall else None
         logs = s == 0 or cfg.trace == "epoch"
         trace.records.append(IterationRecord(
@@ -339,40 +338,38 @@ def run_epochs(man: Manifold, obj: Objective, x0: np.ndarray, cfg: OptimizerConf
             epoch_grad = epoch_feas = pos = None
             s = 0
             try:
+                if cfg.grad_log_every and k % cfg.grad_log_every == 0:
+                    epoch_grad = man.gradient_norm(x, obj.euclid_grad(x))
+                    trace.instrumentation_flops += obj.grad_flops
+                if cfg.feas_log_every and k % cfg.feas_log_every == 0:
+                    epoch_feas = man.feasibility_residual(x)
+                pos = epoch_positions(cfg.selection, len(labels), n_inner, rng)
+                if sweep is not None:
+                    x = charge(*sweep(x, oracle(x), pos, eta_k))
+                else:
+                    for s, l in enumerate(map(labels.__getitem__, pos.tolist())):
+                        if fresh_oracle or s == 0:
+                            d = oracle(x)
+                        x = charge(*step(x, d, l, eta_k, s))
+                        if cfg.trace == "step":
+                            record(x, s)
+                if cfg.trace == "epoch" and n_inner:
+                    s = n_inner - 1
+                    record(x, s)
+            except (ArithmeticError, np.linalg.LinAlgError) as exc:
                 # the one converter: a refusal is located at the step s reached,
-                # or at the step a sweep names
-                try:
-                    if cfg.grad_log_every and k % cfg.grad_log_every == 0:
-                        epoch_grad = man.gradient_norm(x, obj.euclid_grad(x))
-                        trace.instrumentation_flops += obj.grad_flops
-                    if cfg.feas_log_every and k % cfg.feas_log_every == 0:
-                        epoch_feas = man.feasibility_residual(x)
-                    pos = epoch_positions(cfg.selection, len(labels), n_inner, rng)
-                    if sweep is not None:
-                        x = charge(*sweep(x, oracle(x), pos, eta_k))
-                    else:
-                        for s, l in enumerate(map(labels.__getitem__, pos.tolist())):
-                            if fresh_oracle or s == 0:
-                                d = oracle(x)
-                            x = charge(*step(x, d, l, eta_k, s))
-                            if cfg.trace == "step":
-                                record(x, s)
-                    if cfg.trace == "epoch" and n_inner:
-                        record(x, n_inner - 1)
-                except (ArithmeticError, np.linalg.LinAlgError) as exc:
-                    if isinstance(exc, StepRefused) and exc.s is not None:
-                        s = exc.s
-                    raise OptimizeAbort(k, s, str(exc)) from exc
-                probe_failed = probe is not None and not probe(x)
-            except OptimizeAbort as abort:
-                # on a family with a probe a mid-epoch abort counts as a
+                # or at the step a sweep names; on a family with a probe it is a
                 # failed probe (the stepsize is simply too large)
+                if isinstance(exc, StepRefused) and exc.s is not None:
+                    s = exc.s
                 if probe is None:
-                    raise
+                    raise OptimizeAbort(k, s, str(exc)) from exc
                 if pos is not None:  # keep only the draws of steps 0..s
                     rng = rng_start
-                    epoch_positions(cfg.selection, len(labels), abort.s + 1, rng)
+                    epoch_positions(cfg.selection, len(labels), s + 1, rng)
                 probe_failed = True
+            else:
+                probe_failed = probe is not None and not probe(x)
             if probe_failed:
                 if halvings >= PROBE_HALVINGS:
                     raise OptimizeAbort(k, 0, "definiteness probe failed after "
@@ -385,8 +382,9 @@ def run_epochs(man: Manifold, obj: Objective, x0: np.ndarray, cfg: OptimizerConf
                 continue
             k += 1
         if not trace.records:
-            trace.unrecorded_f = _check_finite(obj.value(x), k - 1, max(n_inner - 1, 0),
-                                               "objective")
+            trace.unrecorded_f = obj.value(x)
+            if not math.isfinite(trace.unrecorded_f):
+                raise OptimizeAbort(k - 1, max(n_inner - 1, 0), NONFINITE_OBJECTIVE)
     return x, trace
 
 

@@ -456,6 +456,24 @@ def test_grid_prefers_the_smallest_tied_eta(monkeypatch):
     assert grid_search("pca", 4, 2, 0, OptimizerConfig(), etas=tuple(finals))[0] == 0.4
 
 
+def _diverging_solve(cfg):
+    raise OptimizeAbort(0, 0, "non-finite objective")
+
+
+def test_grid_with_every_stepsize_diverged_has_no_winner(monkeypatch):
+    monkeypatch.setattr(bench, "_setup", lambda *args, **flags: (_diverging_solve,))
+    with pytest.raises(RuntimeError, match="every stepsize in the grid diverged"):
+        grid_search("pca", 4, 2, 0, OptimizerConfig(), etas=(0.1, 0.2))
+
+
+def test_cli_grid_with_every_stepsize_diverged_fails(monkeypatch, capsys):
+    monkeypatch.setattr(bench, "_setup", lambda *args, **flags: (_diverging_solve,))
+    assert _run_cli(["grid", "--problem", "pca", "--n", "4", "--p", "2"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: every stepsize in the grid diverged\n"
+
+
 # Tiny runs of every CLI problem; the last stepsize of the lorentz grid
 # overflows a rotation angle (epoch 8), so it scores +inf.
 GRID_CASES = [

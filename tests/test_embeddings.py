@@ -2,6 +2,8 @@
 guarded distances, training monotonicity, and edge/non-edge separation."""
 
 import math
+from functools import reduce
+from operator import add
 
 import numpy as np
 import pytest
@@ -70,7 +72,9 @@ def _reference_grad(prob, x):
     for u, v in prob.edges:
         weights = [math.exp(-hyperbolic_distance(x[:, u], x[:, w]))
                    for w in [v] + prob.negatives[u]]
-        denom = sum(weights)
+        denom = weights[0]
+        for wt in weights[1:]:  # left to right, as the loss adds them
+            denom += wt
         add_pair(u, v, 1.0 - weights[0] / denom)
         for w, wt in zip(prob.negatives[u], weights[1:]):
             add_pair(u, w, -wt / denom)
@@ -114,6 +118,32 @@ def test_oracle_bitwise_equal_to_scalar_reference(n_dim):
                     guarded += z < 1.0 + 1e-12
                     banded += 1.0 + 1e-12 <= z < 1.0 + GRAD_GUARD
     assert guarded > 0 and banded > 0
+
+
+def _compensated_sum(values):
+    """The builtin sum as Python >= 3.12 adds floats: Neumaier compensation."""
+    total = comp = 0.0
+    for v in values:
+        t = total + v
+        comp += (total - t) + v if abs(total) >= abs(v) else (v - t) + total
+        total = t
+    return total + comp
+
+
+def test_oracle_does_not_depend_on_the_builtin_sum(monkeypatch):
+    """Each edge's softmax sum is added left to right: a compensated builtin
+    sum, as on Python >= 3.12, changes neither the loss nor the gradient."""
+    monkeypatch.setattr(embeddings, "sum", _compensated_sum, raising=False)
+    compensates = False
+    for seed in range(5):
+        prob = make_lorentz_embed(5, 200, seed)
+        x = initial_embedding(prob)
+        assert loss(prob, x) == _reference_loss(prob, x)
+        assert np.array_equal(euclid_grad(prob, x), _reference_grad(prob, x))
+        weights = [[math.exp(-hyperbolic_distance(x[:, u], x[:, w]))
+                    for w in [v] + prob.negatives[u]] for u, v in prob.edges]
+        compensates |= any(_compensated_sum(ws) != reduce(add, ws) for ws in weights)
+    assert compensates  # the injected sum differs from left to right on these points
 
 
 def test_fewer_than_two_words_rejected():
@@ -286,6 +316,9 @@ def test_angle_overflow_aborts_with_location():
     assert err.value.reason.startswith("rotation angle overflow on word 3 (|angle|=")
     _, scored = grid_search("lorentz", 3, 10, 3, cfg, etas=(0.05, 0.2))
     assert math.isfinite(scored[0][1]) and scored[1][1] == math.inf
+    # a grid with no stepsize that completes has no winner
+    with pytest.raises(RuntimeError, match="every stepsize in the grid diverged"):
+        grid_search("lorentz", 3, 10, 3, cfg, etas=(0.2, 0.4))
 
 
 def test_only_time_row_pairs_refuse_a_large_angle():

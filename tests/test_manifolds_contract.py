@@ -242,6 +242,17 @@ def test_descriptor_validation():
         ManifoldDescriptor("spd_bures_wasserstein", (4, 3))
 
 
+@pytest.mark.parametrize("side", ["mu", "nu"])
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_descriptor_rejects_non_finite_marginals(side, bad):
+    """NaN passes both the positivity and the sum test, so it is rejected
+    first, before random_point would run the balancing on it."""
+    good = {"mu": [0.5, 0.5], "nu": [0.2, 0.3, 0.5]}
+    good[side] = good[side][:-1] + [bad]
+    with pytest.raises(ValueError, match="marginals must be finite"):
+        ManifoldDescriptor("doubly_stochastic", (2, 3), **good)
+
+
 def test_feasibility_residual_examples():
     st = make_manifold(ManifoldDescriptor("stiefel", (6, 3)))
     x = np.eye(6)[:, :3]

@@ -602,10 +602,12 @@ def test_final_f_under_every_trace_mode(algo, runner):
                     none.instrumentation_flops))
 
 
-@pytest.mark.parametrize("algo, runner", [("rcd", run_rcd), ("rgd", run_rgd)])
+@pytest.mark.parametrize("algo, runner",
+                         [("rcd", run_rcd), ("rcdlin", run_rcdlin), ("rgd", run_rgd)])
 def test_untraced_run_checks_its_final_f(algo, runner):
     """Under trace "none" a non-finite final objective aborts at the last
-    step taken, (K-1, S-1), as the last record's check does under "epoch"."""
+    step taken, (K-1, S-1), as the last record's check does under "epoch";
+    rcdlin takes its epochs in one pivot-row sweep and is located alike."""
     man, obj, x0, _ = _pca_setup(n=6, p=2)
     obj = dataclasses.replace(obj, value=lambda x: math.nan)
     cfg = OptimizerConfig(algorithm=algo, epochs=3, eta=0.1, trace="none")
